@@ -25,6 +25,17 @@ from .errors import ConfigError, HaflabError
 from .verify import BatterySettings, run_battery
 
 
+def _instance(*types):
+    return lambda x: isinstance(x, types) and not isinstance(x, bool)
+
+
+def _list_of(test):
+    return lambda x: isinstance(x, list) and all(test(item) for item in x)
+
+
+_whole, _number = _instance(int), _instance(int, float)
+
+
 @dataclass
 class ExperimentConfig:
     seed: int = 2024
@@ -41,9 +52,23 @@ class ExperimentConfig:
     profile: dict | None = None
     out: str | None = None
 
-    _FIELDS = ("seed", "window", "cells", "replicates", "truncation",
-               "mc_samples", "max_order", "boxes", "orders", "model",
-               "models", "profile", "out")
+    # The JSON type each field takes; null is accepted where the default is None.
+    _FIELDS = {
+        "seed": ("an integer", _whole),
+        "window": ("a [lo, hi] pair of numbers",
+                   lambda x: _list_of(_number)(x) and len(x) == 2),
+        "cells": ("an integer", _whole),
+        "replicates": ("an integer", _whole),
+        "truncation": ("an integer", _whole),
+        "mc_samples": ("an integer", _whole),
+        "max_order": ("an integer", _whole),
+        "boxes": ("a list of integer lists", _list_of(_list_of(_whole))),
+        "orders": ("a list of integers", _list_of(_whole)),
+        "model": ("an object", _instance(dict)),
+        "models": ("a list of objects", _list_of(_instance(dict))),
+        "profile": ("an object", _instance(dict)),
+        "out": ("a string", _instance(str)),
+    }
 
     @classmethod
     def load(cls, path: str | None, overrides: dict) -> "ExperimentConfig":
@@ -58,7 +83,11 @@ class ExperimentConfig:
             if unknown:
                 raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         doc.update({k: v for k, v in overrides.items() if v is not None})
-        cfg = cls(**{k: doc[k] for k in doc})
+        for name, value in doc.items():
+            kind, test = cls._FIELDS[name]
+            if not (test(value) or (value is None and getattr(cls, name) is None)):
+                raise ConfigError(f"config field '{name}' must be {kind}")
+        cfg = cls(**doc)
         if cfg.replicates < 0:
             raise ConfigError("replicates must be nonnegative")
         return cfg
@@ -216,8 +245,10 @@ def cmd_sample(args, kind: str) -> int:
 
 def cmd_verify(args) -> int:
     cfg = ExperimentConfig.load(args.config, {"seed": args.seed, "out": args.out})
+    if cfg.boxes is not None:
+        raise ConfigError("verify chooses its own boxes; remove 'boxes' from the config")
     max_order = max(int(n) for n in cfg.orders) if cfg.orders else cfg.max_order
-    settings = BatterySettings(seed=cfg.seed, cells=cfg.cells,
+    settings = BatterySettings(seed=cfg.seed, window=cfg.window, cells=cfg.cells,
                                truncation=cfg.truncation,
                                mc_samples=cfg.mc_samples,
                                replicates=cfg.replicates,

@@ -53,7 +53,17 @@ class FockBasis:
         self.n_modes = n_grid + n_feature
         self.states = list(_occupations(self.n_modes, truncation))
         self.index = {s: i for i, s in enumerate(self.states)}
-        self.totals = np.array([sum(s) for s in self.states], dtype=int)
+        occ = np.array(self.states, dtype=np.int64)
+        self.totals = occ.sum(axis=1)
+        # Raising tables, built once per basis: the states below the cutoff,
+        # and per mode j (rows) the index of each one's +1_j neighbour and
+        # the matrix element sqrt(n_j + 1).
+        self.raise_src = np.nonzero(self.totals < truncation)[0]
+        below = [self.states[i] for i in self.raise_src]
+        self.raise_dst = np.array(
+            [[self.index[s[:j] + (s[j] + 1,) + s[j + 1:]] for s in below]
+             for j in range(self.n_modes)], dtype=np.int64)
+        self.raise_amp = np.sqrt(occ[self.raise_src].T + 1.0)
 
     @property
     def size(self) -> int:
@@ -157,41 +167,26 @@ def _mode_vector(basis: FockBasis, g) -> np.ndarray:
     return v
 
 
+def _raising(basis: FockBasis, g) -> sparse.coo_matrix:
+    """Sum_j g_j R_j, where R_j raises mode j with matrix element
+    sqrt(n_j + 1) and drops transitions above the truncation."""
+    v = _mode_vector(basis, g)
+    support = np.nonzero(v)[0]
+    values = (v[support, None] * basis.raise_amp[support]).ravel()
+    entries = (basis.raise_dst[support].ravel(), np.tile(basis.raise_src, len(support)))
+    return sparse.coo_matrix((values, entries), shape=(basis.size, basis.size))
+
+
 def create(basis: FockBasis, g) -> FockOperator:
     """Weighted creation: sum_j g_j a+_j with matrix element sqrt(n_j + 1);
     transitions above the truncation are dropped."""
-    v = _mode_vector(basis, g)
-    rows, cols, vals = [], [], []
-    support = np.nonzero(v)[0]
-    for col, state in enumerate(basis.states):
-        if basis.totals[col] >= basis.truncation:
-            continue
-        for j in support:
-            target = state[:j] + (state[j] + 1,) + state[j + 1:]
-            rows.append(basis.index[target])
-            cols.append(col)
-            vals.append(v[j] * math.sqrt(state[j] + 1))
-    mat = sparse.csr_matrix((vals, (rows, cols)),
-                            shape=(basis.size, basis.size), dtype=complex)
-    return FockOperator(basis, mat)
+    return FockOperator(basis, _raising(basis, g).tocsr())
 
 
 def annihilate(basis: FockBasis, f) -> FockOperator:
-    """Weighted annihilation: sum_j f_j a_j with matrix element sqrt(n_j)."""
-    v = _mode_vector(basis, f)
-    rows, cols, vals = [], [], []
-    support = np.nonzero(v)[0]
-    for col, state in enumerate(basis.states):
-        for j in support:
-            if state[j] == 0:
-                continue
-            target = state[:j] + (state[j] - 1,) + state[j + 1:]
-            rows.append(basis.index[target])
-            cols.append(col)
-            vals.append(v[j] * math.sqrt(state[j]))
-    mat = sparse.csr_matrix((vals, (rows, cols)),
-                            shape=(basis.size, basis.size), dtype=complex)
-    return FockOperator(basis, mat)
+    """Weighted annihilation: sum_j f_j a_j with matrix element sqrt(n_j),
+    the transpose of create(f)."""
+    return FockOperator(basis, _raising(basis, f).T.tocsr())
 
 
 def neutral(basis: FockBasis, cells) -> FockOperator:
@@ -277,14 +272,6 @@ def ladder_pair(basis: FockBasis, source, m: int) -> tuple[FockOperator, FockOpe
         down = annihilate(basis, _grid_embed(basis, m, shift)) + lam * identity(basis)
         return up, down
     raise DimensionError(f"unsupported source {type(source).__name__}")
-
-
-def a_plus(basis: FockBasis, source, m: int) -> FockOperator:
-    return ladder_pair(basis, source, m)[0]
-
-
-def a_minus(basis: FockBasis, source, m: int) -> FockOperator:
-    return ladder_pair(basis, source, m)[1]
 
 
 def rho(basis: FockBasis, source, cells) -> FockOperator:
@@ -382,19 +369,28 @@ def moment(basis: FockBasis, source, boxes, order=None) -> complex:
 
 
 def b_field(basis: FockBasis, source, h) -> FockOperator:
-    """Hermitian combination sum_m vol_m (h_m A+(x_m) + conj(h_m) A-(x_m))."""
+    """Hermitian combination sum_m vol_m (h_m A+(x_m) + conj(h_m) A-(x_m)).
+
+    The ladder pair is linear in the cell, so the sum is one creation plus
+    one annihilation (plus a scalar shift for an intensity profile).
+    """
     h = np.asarray(h, dtype=complex)
     grid = source.grid
     if h.shape != (grid.n_cells,):
         raise DimensionError("test function must have one value per cell")
-    out = zero(basis)
-    for m in range(grid.n_cells):
-        if h[m] == 0:
-            continue
-        up, down = ladder_pair(basis, source, m)
-        vol = float(grid.volumes[m])
-        out = out + (vol * h[m]) * up + (vol * np.conj(h[m])) * down
-    return out
+    vol = grid.volumes
+    grid_u, grid_w = np.sqrt(vol) * h, np.sqrt(vol) * h.conj()
+    if isinstance(source, GaussianFieldModel):
+        _check_model(basis, source)
+        vh, vhc = vol * h, vol * h.conj()
+        u = np.concatenate([grid_u, source.l2.conj() @ vh + source.l1 @ vhc])
+        w = np.concatenate([grid_w, source.l1.conj() @ vh + source.l2 @ vhc])
+        return create(basis, u) + annihilate(basis, w)
+    if isinstance(source, IntensityProfile):
+        _check_profile(basis, source)
+        shift = np.sum(vol * (h * np.conj(source.lam) + h.conj() * source.lam))
+        return create(basis, grid_u) + annihilate(basis, grid_w) + shift * identity(basis)
+    raise DimensionError(f"unsupported source {type(source).__name__}")
 
 
 def quasifree_T(basis: FockBasis, source, hs) -> complex:

@@ -16,7 +16,7 @@ from . import fock as fk
 from . import kernels as kn
 from . import matfun as mf
 from . import sampling as sp
-from .errors import CapacityError, HaflabError
+from .errors import CapacityError, ConfigError, HaflabError
 
 
 @dataclass
@@ -44,6 +44,7 @@ class BatterySettings:
     """Desk-scale knobs for the battery; all overridable from the config."""
 
     seed: int = 2024
+    window: tuple = (0.0, 1.0)
     cells: int = 3
     truncation: int = 6
     mc_samples: int = 40_000
@@ -59,8 +60,10 @@ class BatterySettings:
 def _resolve_model(entry: dict, grid: kn.Grid) -> tuple[str, kn.GaussianFieldModel]:
     if "path" in entry:
         return entry["path"], kn.load_model(entry["path"])
-    name = entry["builtin"]
-    return name, kn.builtin_model(name, grid, entry.get("params"))
+    if "builtin" in entry:
+        name = entry["builtin"]
+        return name, kn.builtin_model(name, grid, entry.get("params"))
+    raise ConfigError("model entry needs a 'builtin' name or a 'path'")
 
 
 def _residual(name: str, value: float, tol: float) -> CheckResult:
@@ -225,7 +228,7 @@ def _model_checks(tag: str, model: kn.GaussianFieldModel, cfg: BatterySettings,
 
 def _poisson_checks(cfg: BatterySettings, rng: np.random.Generator) -> list[CheckResult]:
     out = []
-    grid = kn.Grid.regular(0.0, 1.0, max(2, cfg.cells))
+    grid = kn.Grid.regular(*cfg.window, max(2, cfg.cells))
     lam = (rng.standard_normal(grid.n_cells) + 1j * rng.standard_normal(grid.n_cells))
     profile = kn.IntensityProfile(grid, lam)
     rate = np.abs(lam) ** 2 * grid.volumes
@@ -251,10 +254,10 @@ def _poisson_checks(cfg: BatterySettings, rng: np.random.Generator) -> list[Chec
 def run_battery(cfg: BatterySettings) -> list[CheckResult]:
     """Run every identity check at the configured desk scale."""
     rng = np.random.default_rng(cfg.seed)
-    grid = kn.Grid.regular(0.0, 1.0, cfg.cells)
+    grid = kn.Grid.regular(*cfg.window, cfg.cells)
+    models = [_resolve_model(entry, grid) for entry in cfg.models]
     results = _matfun_checks(rng)
-    for entry in cfg.models:
-        tag, model = _resolve_model(entry, grid)
+    for tag, model in models:
         results.extend(_model_checks(tag, model, cfg, rng))
     results.extend(_poisson_checks(cfg, rng))
     return results

@@ -195,6 +195,23 @@ def test_verify_unknown_config_key(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"cells": "abc"}, "'cells' must be an integer"),
+    ({"window": [0.0]}, "'window' must be a [lo, hi] pair"),
+    ({"models": [1]}, "'models' must be a list of objects"),
+    ({"models": [{"foo": 1}]}, "needs a 'builtin' name or a 'path'"),
+    ({"window": [1.0, 0.0]}, "cell volumes must be positive"),
+    ({"boxes": [[0], [1]]}, "verify chooses its own boxes"),
+])
+def test_verify_malformed_config_exit_2(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, out = run("verify", "--config", str(cfg), capsys=capsys)
+    assert code == 2
+    assert out.err.startswith("error: ") and message in out.err
+    assert len(out.err.splitlines()) == 1
+
+
 def test_bench_command(tmp_path, capsys):
     out_path = tmp_path / "bench.csv"
     code, out = run("bench", "--sizes", "4,6", "--reps", "2",

@@ -121,6 +121,39 @@ def test_vector_length_checked(plain_basis):
         fk.create(plain_basis, [1.0, 2.0])
 
 
+def _per_state_ladder(basis, v, step):
+    """Reference ladder from basis.states/basis.index, one state at a time:
+    step +1 raises mode j with sqrt(n_j + 1), step -1 lowers it with
+    sqrt(n_j); transitions above the truncation are dropped."""
+    mat = np.zeros((basis.size, basis.size), dtype=complex)
+    for col, state in enumerate(basis.states):
+        for j in np.nonzero(v)[0]:
+            n = state[j] + step
+            if n < 0 or sum(state) + step > basis.truncation:
+                continue
+            target = state[:j] + (n,) + state[j + 1:]
+            mat[basis.index[target], col] = v[j] * math.sqrt(max(n, state[j]))
+    return mat
+
+
+@pytest.mark.parametrize("dims", [(2, 1, 5), (3, 2, 6)])
+def test_ladders_match_per_state_rule(dims):
+    basis = fk.FockBasis(*dims)
+    rng = np.random.default_rng(21)
+    dense = rng.standard_normal(basis.n_modes) + 1j * rng.standard_normal(basis.n_modes)
+    sparse_vec = np.zeros(basis.n_modes, dtype=complex)
+    sparse_vec[[0, -1]] = dense[[0, -1]]
+    vectors = list(np.eye(basis.n_modes)) + [dense, sparse_vec, np.zeros(basis.n_modes)]
+    boundary = np.nonzero(basis.totals == basis.truncation)[0]
+    for v in vectors:
+        up = fk.create(basis, v).mat.toarray()
+        down = fk.annihilate(basis, v).mat.toarray()
+        assert np.array_equal(up, _per_state_ladder(basis, v, +1))
+        assert np.array_equal(down, _per_state_ladder(basis, v, -1))
+        # nothing is raised out of, or lowered into, the top sector
+        assert not up[:, boundary].any() and not down[boundary, :].any()
+
+
 # ---------------------------------------------------------------------------
 # neutral operator
 # ---------------------------------------------------------------------------
@@ -214,8 +247,8 @@ def test_dressed_ccr_is_diagonal(bases):
         vols = model.grid.volumes
         for a in range(3):
             for b in range(3):
-                comm = fk.commutator(fk.a_minus(basis, model, a),
-                                     fk.a_plus(basis, model, b))
+                comm = fk.commutator(fk.ladder_pair(basis, model, a)[1],
+                                     fk.ladder_pair(basis, model, b)[0])
                 scalar = (1.0 / vols[a]) if a == b else 0.0
                 defect = comm - scalar * fk.identity(basis)
                 keep = basis.safe_indices(2)
@@ -502,6 +535,23 @@ def test_b_field_commutator(bases):
     defect = fk.commutator(bf, bh) - (2j * inner.imag) * fk.identity(basis)
     keep = basis.safe_indices(2)
     assert np.abs(defect.mat[np.ix_(keep, keep)].toarray()).max() <= 1e-10
+
+
+def test_b_field_is_sum_of_ladder_pairs(bases):
+    rng = np.random.default_rng(16)
+    h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    h[1] = 0.0
+    profile = kn.IntensityProfile(GRID, rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    cases = [(bases[name], model) for name, model in MODELS.items()]
+    cases.append((fk.FockBasis(GRID.n_cells, 0, 4), profile))
+    for basis, source in cases:
+        expect = fk.zero(basis)
+        for m, vol in enumerate(GRID.volumes):
+            up, down = fk.ladder_pair(basis, source, m)
+            expect = expect + (vol * h[m]) * up + (vol * np.conj(h[m])) * down
+        assert (fk.b_field(basis, source, h) - expect).max_abs() <= 1e-13
+        with pytest.raises(DimensionError):
+            fk.b_field(basis, source, h[:2])
 
 
 def test_quasifree_odd_orders_vanish(bases):
