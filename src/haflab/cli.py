@@ -176,39 +176,51 @@ def _summary_payload(cfg: ExperimentConfig, kind: str, extra: dict) -> str:
     return json.dumps(payload, sort_keys=True, default=float) + "\n"
 
 
+# File name, header, line template and dtype of each sampling dump, which
+# is written in chunks of 256 replicates (larger chunks raise peak memory).
+_DUMPS = {"cox": ("patterns.csv", "replicate,cell_index,count\n", "{},{},{}\n", int),
+          "field": ("field.csv", "replicate,cell_index,re,im\n",
+                    "{},{},{:.17g},{:.17g}\n", complex)}
+_CSV_CHUNK = 256
+
+
+def _csv_lines(template: str, start: int, block: np.ndarray) -> str:
+    """CSV lines `replicate,cell_index,value...` for a block of replicates
+    numbered from `start`; a complex value fills a re and an im column."""
+    values = [block.real, block.imag] if np.iscomplexobj(block) else [block]
+    table = np.empty(block.shape + (2 + len(values),), dtype=object)
+    table[..., 0] = np.arange(start, start + len(block))[:, None]
+    table[..., 1] = np.arange(block.shape[1])
+    table[..., 2:] = np.stack(values, axis=-1)
+    return (template * block.size).format(*table.ravel().tolist())
+
+
 def cmd_sample(args, kind: str) -> int:
     cfg = ExperimentConfig.load(args.config, {"seed": args.seed, "out": args.out})
     if cfg.out is None:
         raise ConfigError("an output directory is required (--out or config 'out')")
     # a deterministic intensity profile turns `cox sample` into plain
     # Poisson sampling; `field sample` always needs a model
-    source = None
     if kind == "cox" and cfg.profile is not None:
-        source = cfg.resolve_profile()
-        m_cells = source.grid.n_cells
+        profile = cfg.resolve_profile()
+        m_cells = profile.grid.n_cells
+        draw = lambda rng: sp.sample_poisson(profile, rng)
     else:
         model = cfg.resolve_model()
         m_cells = model.grid.n_cells
+        sampler = sp.sample_cox if kind == "cox" else sp.sample_field
+        draw = lambda rng: sampler(model, rng)
     os.makedirs(cfg.out, exist_ok=True)
 
-    csv_path = os.path.join(cfg.out, "patterns.csv" if kind == "cox" else "field.csv")
-    with _open_new(csv_path, args.force) as fh:
-        if kind == "cox":
-            fh.write("replicate,cell_index,count\n")
-            rows = np.zeros((cfg.replicates, m_cells), dtype=int)
-            for r in range(cfg.replicates):
-                rng = sp.replicate_rng(cfg.seed, r)
-                rows[r] = (sp.sample_poisson(source, rng) if source is not None
-                           else sp.sample_cox(model, rng))
-                for m in range(m_cells):
-                    fh.write(f"{r},{m},{rows[r, m]}\n")
-        else:
-            fh.write("replicate,cell_index,re,im\n")
-            rows = np.zeros((cfg.replicates, m_cells), dtype=complex)
-            for r in range(cfg.replicates):
-                rows[r] = sp.sample_field(model, sp.replicate_rng(cfg.seed, r))
-                for m in range(m_cells):
-                    fh.write(f"{r},{m},{rows[r, m].real:.17g},{rows[r, m].imag:.17g}\n")
+    name, header, template, dtype = _DUMPS[kind]
+    rows = np.zeros((cfg.replicates, m_cells), dtype=dtype)
+    with _open_new(os.path.join(cfg.out, name), args.force) as fh:
+        fh.write(header)
+        for start in range(0, cfg.replicates, _CSV_CHUNK):
+            stop = min(start + _CSV_CHUNK, cfg.replicates)
+            for r in range(start, stop):
+                rows[r] = draw(sp.replicate_rng(cfg.seed, r))
+            fh.write(_csv_lines(template, start, rows[start:stop]))
 
     if kind == "cox":
         boxes = cfg.disjoint_boxes(m_cells)
@@ -247,6 +259,9 @@ def cmd_verify(args) -> int:
     cfg = ExperimentConfig.load(args.config, {"seed": args.seed, "out": args.out})
     if cfg.boxes is not None:
         raise ConfigError("verify chooses its own boxes; remove 'boxes' from the config")
+    if cfg.profile is not None:
+        raise ConfigError("verify draws its own Poisson intensities; "
+                          "remove 'profile' from the config")
     max_order = max(int(n) for n in cfg.orders) if cfg.orders else cfg.max_order
     settings = BatterySettings(seed=cfg.seed, window=cfg.window, cells=cfg.cells,
                                truncation=cfg.truncation,

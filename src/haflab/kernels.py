@@ -242,14 +242,16 @@ def builtin_model(name: str, grid: Grid, params: dict | None = None) -> Gaussian
       bump features.
     - "alpha-beta-demo": mixed field with complex k1 and nonzero k2.
     """
+    if params is not None and not isinstance(params, dict):
+        raise ConfigError(f"parameters for {name!r} must be an object")
     params = dict(params or {})
     x = grid.centers[:, 0]
     span = float(grid.hi[0] - grid.lo[0])
 
     if name == "proper-fourier":
-        n_freq = int(params.pop("n_freq", 3))
-        ell = float(params.pop("lengthscale", 0.35 * span))
-        scale = float(params.pop("scale", 1.0))
+        n_freq = _param(params, "n_freq", int, 3)
+        ell = _param(params, "lengthscale", float, 0.35 * span)
+        scale = _param(params, "scale", float, 1.0)
         _reject_extras(name, params)
         base = _se_fourier_features(x, n_freq, ell, scale)
         zero = np.zeros_like(base)
@@ -258,18 +260,18 @@ def builtin_model(name: str, grid: Grid, params: dict | None = None) -> Gaussian
         return field_model(grid, l1, l2)
 
     if name == "real-gauss":
-        n_centers = int(params.pop("n_centers", 3))
-        ell = float(params.pop("lengthscale", 0.22 * span))
-        scale = float(params.pop("scale", 1.0))
+        n_centers = _param(params, "n_centers", int, 3)
+        ell = _param(params, "lengthscale", float, 0.22 * span)
+        scale = _param(params, "scale", float, 1.0)
         _reject_extras(name, params)
         locs = grid.lo[0] + span * (np.arange(n_centers) + 0.5) / n_centers
         feats = scale * np.exp(-0.5 * ((x[None, :] - locs[:, None]) / ell) ** 2)
         return field_model(grid, feats, feats)
 
     if name == "alpha-beta-demo":
-        d_half = int(params.pop("d_half", 2))
-        ell = float(params.pop("lengthscale", 0.45 * span))
-        scale = float(params.pop("scale", 1.0))
+        d_half = _param(params, "d_half", int, 2)
+        ell = _param(params, "lengthscale", float, 0.45 * span)
+        scale = _param(params, "scale", float, 1.0)
         _reject_extras(name, params)
         locs = grid.lo[0] + span * (np.arange(d_half) + 0.5) / d_half
         bumps = np.exp(-0.5 * ((x[None, :] - locs[:, None]) / ell) ** 2)
@@ -285,6 +287,14 @@ def builtin_model(name: str, grid: Grid, params: dict | None = None) -> Gaussian
 
 
 BUILTIN_NAMES = ("proper-fourier", "real-gauss", "alpha-beta-demo")
+
+
+def _param(params: dict, key: str, convert, default):
+    value = params.pop(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"model parameter {key!r} must be a number, got {value!r}") from exc
 
 
 def _reject_extras(name: str, params: dict) -> None:

@@ -71,37 +71,44 @@ def _batch_stats(values: np.ndarray, batches: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def augmented_covariance(model: GaussianFieldModel) -> np.ndarray:
-    """Real covariance of (Re G(x_1..x_M), Im G(x_1..x_M)).
-
-    Blocks: E[XX^T] = Re(k1+k2)/2, E[YY^T] = Re(k1-k2)/2,
-    E[XY^T] = (Im k2 - Im k1)/2, E[YX^T] = (Im k2 + Im k1)/2.
-    """
+def _augmented(model: GaussianFieldModel) -> tuple[np.ndarray, np.ndarray]:
+    # Covariance and symmetric factor (negative eigenvalues clipped) from one
+    # eigh, cached on the model: it is frozen and k1, k2 are never written.
+    # A model failing the PSD check caches nothing, so every call raises.
+    cached = vars(model).get("_augmented")
+    if cached is not None:
+        return cached
     k1, k2 = model.k1, model.k2
     xx = 0.5 * (k1.real + k2.real)
     yy = 0.5 * (k1.real - k2.real)
     xy = 0.5 * (k2.imag - k1.imag)
     yx = 0.5 * (k2.imag + k1.imag)
     cov = np.block([[xx, xy], [yx, yy]])
-    w = np.linalg.eigvalsh(cov)
+    w, v = np.linalg.eigh(cov)
     floor = -1e-8 * float(np.max(np.abs(w), initial=0.0))
     if w.min(initial=0.0) < floor:
         raise ModelError(
             f"augmented covariance has eigenvalue {w.min():.3e}; kernel pair inconsistent")
-    return cov
+    factor = v * np.sqrt(np.clip(w, 0.0, None))[None, :]
+    cov.flags.writeable = factor.flags.writeable = False
+    vars(model)["_augmented"] = cov, factor
+    return cov, factor
 
 
-def _field_factor(model: GaussianFieldModel) -> np.ndarray:
-    # Symmetric factorization with small negative eigenvalues clipped to 0.
-    cov = augmented_covariance(model)
-    w, v = np.linalg.eigh(cov)
-    return v * np.sqrt(np.clip(w, 0.0, None))[None, :]
+def augmented_covariance(model: GaussianFieldModel) -> np.ndarray:
+    """Real covariance of (Re G(x_1..x_M), Im G(x_1..x_M)), as a copy of
+    the matrix cached on the model.
+
+    Blocks: E[XX^T] = Re(k1+k2)/2, E[YY^T] = Re(k1-k2)/2,
+    E[XY^T] = (Im k2 - Im k1)/2, E[YX^T] = (Im k2 + Im k1)/2.
+    """
+    return _augmented(model)[0].copy()
 
 
 def sample_field(model: GaussianFieldModel, seed, size: int | None = None) -> np.ndarray:
     """Draw the complex field on the grid; shape (M,) or (size, M)."""
     rng = _as_rng(seed)
-    factor = _field_factor(model)
+    factor = _augmented(model)[1]
     m = model.grid.n_cells
     n = 1 if size is None else int(size)
     z = rng.standard_normal((n, 2 * m)) @ factor.T
@@ -168,7 +175,7 @@ def field_moment_mc(model: GaussianFieldModel, points, n_samples: int, seed,
     if pts.size < 1 or pts.size > 4:
         raise PreconditionError("between 1 and 4 points (estimator variance grows fast)")
     rng = _as_rng(seed)
-    factor = _field_factor(model)
+    factor = _augmented(model)[1]
     m = model.grid.n_cells
     nb = max(1, min(batches, n_samples))
     base, extra = divmod(n_samples, nb)

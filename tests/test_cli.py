@@ -85,6 +85,75 @@ def test_cox_sample_byte_identical(tmp_path, capsys):
     assert digests[0] == digests[1]
 
 
+_MODEL_RUN = {"cells": 8, "orders": [2, 3], "model": {"builtin": "proper-fourier"}}
+_PROFILE_RUN = {"cells": 4, "orders": [2], "profile": {
+    "lambda": [[1.0, 0.0], [0.5, -0.5], [0.0, 2.0], [1.5, 0.25]]}}
+
+# sha256 of every file a seed-77 run writes, recorded with the per-replicate
+# factorization and per-line CSV writer that preceded the cached factor and
+# chunked writes; 255, 256 and 257 replicates straddle one 256-replicate chunk.
+# Field values are printed to 17 digits, so a numpy/LAPACK build that rounds
+# the factorization differently changes them (recorded with numpy 2.4 on
+# OpenBLAS 0.3.31, x86-64).
+_GOLDEN = [
+    ("cox", _MODEL_RUN, 500, {
+        "moments.jsonl": "5dd76980417050ff544054f3a887be1af784d5420f5a299336924c850b0fba57",
+        "patterns.csv": "4308f8c3ede7cfb0866af97036d99d4100bfbb872840a03aed4891293d7b4ee5",
+        "summary.json": "291469a12e2f1159e6fd2b85f7a7f5bf00b68616f830e53441a7f40b945f8330"}),
+    ("cox", _MODEL_RUN, 255, {
+        "moments.jsonl": "c42633206223074911d2cdf360b57a99c91d16df5eb6684ef91a80a037dab31f",
+        "patterns.csv": "2cd6c7223052c2c24d8bdf45e91bdca78b126d7b174ff8526b9cd366f782d1b3",
+        "summary.json": "62c9c448c0e7ab0045fcb745da95738f01b647cf8847ad9dd748a5e5c1d8120e"}),
+    ("cox", _MODEL_RUN, 256, {
+        "moments.jsonl": "184410e367351c21e0865fd03031ef4200bfbf20b4dc16c3dd093babbb0e0c46",
+        "patterns.csv": "55f44a46f7dc40b73a324be7be63457d4c056aeec4cbc9778b249f1a7bb972e7",
+        "summary.json": "ab6aa83d8bf16e1adfcb48cca4d8968833369d5a40b74ea7f84b63708896420e"}),
+    ("cox", _MODEL_RUN, 257, {
+        "moments.jsonl": "7e9227faf6185f3afe552d4e72b1e0fb94d058474a2b39336f161d94c8196a1a",
+        "patterns.csv": "81eabc5340a2996b1eac2931681c3c5df0927df991a0f3ac242a2f5f7b619146",
+        "summary.json": "a3fe0ccbb2a399521d3b9ddbaeb6ba24bcef08a7c4afbf7fc5528ad692242379"}),
+    ("cox", _PROFILE_RUN, 255, {
+        "moments.jsonl": "c97554bb5abb1739cbee189ce7e4e88ecb98caf0ac98c2fb2d5466521f8ca15a",
+        "patterns.csv": "f6a1a71796c97cb8315e450c48071beeb05462a5378965cf4f0557f47544d4d9",
+        "summary.json": "dd6299b3a66ec2e627611a9b8c28b056634e3a6c0750eb51e4379dcf6ca66a1a"}),
+    ("cox", _PROFILE_RUN, 256, {
+        "moments.jsonl": "9c53699dc3c36233963b0faa8a35e7293a8424e74db71ed56f5f521dd12811b1",
+        "patterns.csv": "f6edbda51af4535598e36cb0b508e26198996c286aa37b8c87c115621019fc99",
+        "summary.json": "188b0b07ba96a03e5ded71285aef32be2e83254ad5ee1e4a3160675c632287f5"}),
+    ("cox", _PROFILE_RUN, 257, {
+        "moments.jsonl": "2d800c1dca593711338f552e2b45a63c571e0823eecb200ffd04fc421391f0f0",
+        "patterns.csv": "0b1d6159ec73d457de0caa4ad27c1bac7721605bd8119ead9a22f33a348d1013",
+        "summary.json": "b4a3f9ad62057257fce07ea8e815fef680218c6975cfad19d009b2b020c86e32"}),
+    ("field", _MODEL_RUN, 500, {
+        "field.csv": "6aa403d8bdecce93b7e086340b6e794609ef24871758e8e7395d62e71d86cf52",
+        "summary.json": "0062ca381c3e9b5bab5015d3caaa17c837334c7a9bd1154dd17605291314cb15"}),
+    ("field", _MODEL_RUN, 255, {
+        "field.csv": "f378d5d78ecba8c57ced7d621b3d334c1f7201ae4e79338bf58e1bace979159a",
+        "summary.json": "56c4b58f27abe55ca0066ce57e8f349973bb90d31311621135f2887d45429988"}),
+    ("field", _MODEL_RUN, 256, {
+        "field.csv": "5d6e5af46ca1d3af5b2e5972ad117d8b69665ad56f368e3c1fea3e00ca34458c",
+        "summary.json": "04c6d371c635f9b4a04f60e896e5b7c47864d4c1dbf322e71a2d440592126ebf"}),
+    ("field", _MODEL_RUN, 257, {
+        "field.csv": "de9000a93500335dd609b63536dddf61fbbbb84f76649904870674d8a6027b67",
+        "summary.json": "7ba2211df37b760566466aa3371cc3e8f74a3fa92b1adb545c0d50f00797ac48"}),
+]
+
+
+@pytest.mark.parametrize("kind, doc, replicates, digests", _GOLDEN, ids=[
+    f"{kind}-{'profile' if 'profile' in doc else 'model'}-{reps}"
+    for kind, doc, reps, _ in _GOLDEN])
+def test_sample_outputs_match_golden_digests(tmp_path, capsys, kind, doc,
+                                             replicates, digests):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(doc, replicates=replicates)))
+    code, _ = run(kind, "sample", "--config", str(cfg), "--seed", "77",
+                  "--out", str(tmp_path / "run"), capsys=capsys)
+    assert code == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "run").iterdir()}
+    assert written == digests
+
+
 def test_sample_refuses_overwrite_without_force(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"replicates": 2, "cells": 2,
@@ -100,6 +169,16 @@ def test_sample_refuses_overwrite_without_force(tmp_path, capsys):
     code, _ = run("cox", "sample", "--config", str(cfg), "--out", out_dir,
                   "--force", capsys=capsys)
     assert code == 0
+
+
+def test_cox_sample_bad_model_params_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"builtin": "real-gauss",
+                                         "params": {"lengthscale": [0.2]}}}))
+    code, out = run("cox", "sample", "--config", str(cfg),
+                    "--out", str(tmp_path / "run"), capsys=capsys)
+    assert code == 2
+    assert out.err == "error: model parameter 'lengthscale' must be a number, got [0.2]\n"
 
 
 def test_cox_sample_with_deterministic_profile(tmp_path, capsys):
@@ -202,6 +281,11 @@ def test_verify_unknown_config_key(tmp_path, capsys):
     ({"models": [{"foo": 1}]}, "needs a 'builtin' name or a 'path'"),
     ({"window": [1.0, 0.0]}, "cell volumes must be positive"),
     ({"boxes": [[0], [1]]}, "verify chooses its own boxes"),
+    ({"profile": {"lambda": [[1.0, 0.0]] * 3}}, "verify draws its own Poisson"),
+    ({"models": [{"builtin": "proper-fourier", "params": {"n_freq": "x"}}]},
+     "model parameter 'n_freq' must be a number"),
+    ({"models": [{"builtin": "proper-fourier", "params": "x"}]},
+     "parameters for 'proper-fourier' must be an object"),
 ])
 def test_verify_malformed_config_exit_2(tmp_path, capsys, doc, message):
     cfg = tmp_path / "cfg.json"

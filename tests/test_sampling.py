@@ -63,8 +63,43 @@ def test_augmented_rejects_inconsistent_pair():
     base = kn.builtin_model("real-gauss", grid, {"n_centers": 1})
     broken = kn.GaussianFieldModel(grid, base.l1, base.l2,
                                    np.zeros((2, 2)), base.k2)
-    with pytest.raises(ModelError):
-        sp.augmented_covariance(broken)
+    for _ in range(3):   # a failed check is not cached: every call raises
+        with pytest.raises(ModelError):
+            sp.augmented_covariance(broken)
+        with pytest.raises(ModelError):
+            sp.sample_field(broken, 0)
+
+
+def test_augmented_factorized_once_per_model(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(sp.np.linalg, "eigh", counted)
+    for name in kn.BUILTIN_NAMES:
+        model = kn.builtin_model(name, GRID)
+        for seed in range(3):
+            sp.augmented_covariance(model)
+            sp.sample_field(model, seed)
+            sp.sample_field(model, seed, size=4)
+            sp.sample_cox(model, seed)
+            sp.field_moment_mc(model, [0, 2], 50, seed)
+    assert calls == [(2 * GRID.n_cells, 2 * GRID.n_cells)] * len(kn.BUILTIN_NAMES)
+
+
+def test_augmented_returns_a_copy():
+    model = kn.builtin_model("alpha-beta-demo", GRID)
+    before = sp.sample_field(model, 8, size=3)
+    cov = sp.augmented_covariance(model)
+    expected = cov.copy()
+    cov[:] = 0.0
+    assert np.array_equal(sp.augmented_covariance(model), expected)
+    assert np.array_equal(sp.sample_field(model, 8, size=3), before)
+    assert np.array_equal(sp.sample_cox(model, 8, size=3),
+                          sp.sample_cox(kn.builtin_model("alpha-beta-demo", GRID),
+                                        8, size=3))
 
 
 # ---------------------------------------------------------------------------
