@@ -249,8 +249,8 @@ def builtin_model(name: str, grid: Grid, params: dict | None = None) -> Gaussian
     span = float(grid.hi[0] - grid.lo[0])
 
     if name == "proper-fourier":
-        n_freq = _param(params, "n_freq", int, 3)
-        ell = _param(params, "lengthscale", float, 0.35 * span)
+        n_freq = _count(params, "n_freq", 3)
+        ell = _lengthscale(params, 0.35 * span)
         scale = _param(params, "scale", float, 1.0)
         _reject_extras(name, params)
         base = _se_fourier_features(x, n_freq, ell, scale)
@@ -260,8 +260,8 @@ def builtin_model(name: str, grid: Grid, params: dict | None = None) -> Gaussian
         return field_model(grid, l1, l2)
 
     if name == "real-gauss":
-        n_centers = _param(params, "n_centers", int, 3)
-        ell = _param(params, "lengthscale", float, 0.22 * span)
+        n_centers = _count(params, "n_centers", 3)
+        ell = _lengthscale(params, 0.22 * span)
         scale = _param(params, "scale", float, 1.0)
         _reject_extras(name, params)
         locs = grid.lo[0] + span * (np.arange(n_centers) + 0.5) / n_centers
@@ -269,8 +269,8 @@ def builtin_model(name: str, grid: Grid, params: dict | None = None) -> Gaussian
         return field_model(grid, feats, feats)
 
     if name == "alpha-beta-demo":
-        d_half = _param(params, "d_half", int, 2)
-        ell = _param(params, "lengthscale", float, 0.45 * span)
+        d_half = _count(params, "d_half", 2)
+        ell = _lengthscale(params, 0.45 * span)
         scale = _param(params, "scale", float, 1.0)
         _reject_extras(name, params)
         locs = grid.lo[0] + span * (np.arange(d_half) + 0.5) / d_half
@@ -295,6 +295,20 @@ def _param(params: dict, key: str, convert, default):
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"model parameter {key!r} must be a number, got {value!r}") from exc
+
+
+def _count(params: dict, key: str, default: int) -> int:
+    value = _param(params, key, int, default)
+    if value < 1:
+        raise ConfigError(f"model parameter {key!r} must be at least 1, got {value}")
+    return value
+
+
+def _lengthscale(params: dict, default: float) -> float:
+    value = _param(params, "lengthscale", float, default)
+    if not (np.isfinite(value) and value > 0):
+        raise ConfigError(f"model parameter 'lengthscale' must be finite and positive, got {value}")
+    return value
 
 
 def _reject_extras(name: str, params: dict) -> None:

@@ -1,36 +1,33 @@
 """Exact matrix functions on small complex matrices.
 
-Two independent hafnian algorithms (pairing enumeration and a bitmask
-subset recursion) cross-check each other; the permanent (Ryser, Gray-code
-updates) cross-checks the cycle-weighted permutation sum ``alpha_det``.
+Two independent hafnian algorithms (pairing enumeration and a subset
+recursion evaluated one subset size at a time) cross-check each other;
+the permanent (Ryser, Gray-code updates) cross-checks the cycle-weighted
+permutation sum ``alpha_det``.
 All arithmetic is complex double precision.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
+from math import comb
 from statistics import median
+from typing import Final
 
 import numpy as np
 
 from .errors import CapacityError, DimensionError, HaflabError
 
-
-@dataclass
-class Limits:
-    """Size caps for the exponential algorithms (overridable per call)."""
-
-    hafnian_enum: int = 16
-    hafnian_dp: int = 24
-    permanent: int = 20
-    alpha_det: int = 10
-
-
-#: Module-wide default caps; the benchmark harness may raise them.
-LIMITS = Limits()
+#: Default size caps of the exponential algorithms.  They are bound into
+#: each function's ``max_dim`` default when the module loads, so rebinding
+#: these names changes nothing; pass ``max_dim`` to override one call.
+HAFNIAN_ENUM_MAX_DIM: Final = 16
+HAFNIAN_DP_MAX_DIM: Final = 24
+PERMANENT_MAX_DIM: Final = 20
+ALPHA_DET_MAX_DIM: Final = 10
 
 
 def _as_square(matrix) -> np.ndarray:
@@ -72,71 +69,98 @@ def _pair_sum(c: np.ndarray, remaining: tuple) -> complex:
     return acc
 
 
-def hafnian_enum(matrix, *, max_dim: int | None = None, workers: int | None = None) -> complex:
+def hafnian_enum(matrix, *, max_dim: int = HAFNIAN_ENUM_MAX_DIM) -> complex:
     """Hafnian by direct enumeration of all (2n-1)!! perfect pairings.
 
-    Never reads diagonal entries.  ``workers`` optionally splits the
-    top-level pairing branch; the reduction stays in index order, so the
-    result is identical for any worker count.
+    Never reads diagonal entries.
     """
     c = _as_square(matrix)
     dim = c.shape[0]
     _check_even(dim)
-    _check_cap(dim, max_dim if max_dim is not None else LIMITS.hafnian_enum, "hafnian_enum")
-    if dim == 0:
-        return 1.0 + 0.0j
-    rest = tuple(range(1, dim))
-    branches = [(c[0, rest[t]], rest[:t] + rest[t + 1 :]) for t in range(len(rest))]
-    if workers is None or workers <= 1:
-        partials = [w * _pair_sum(c, sub) for w, sub in branches]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda b: b[0] * _pair_sum(c, b[1]), branches))
-    total = 0.0 + 0.0j
-    for p in partials:
-        total += p
-    return total
+    _check_cap(dim, max_dim, "hafnian_enum")
+    return _pair_sum(c, tuple(range(dim)))
 
 
-def hafnian_dp(matrix, *, max_dim: int | None = None) -> complex:
-    """Hafnian by memoized recursion over index subsets (bitmask keyed).
+@lru_cache(maxsize=16)
+def _dp_schedule(dim: int) -> tuple:
+    """Subset levels of the hafnian recursion at one even dimension.
+
+    Starting from the full index set, each step drops the lowest index
+    ``i`` and one partner ``j``.  The subsets of size ``dim - 2k`` reached
+    after ``k`` steps are exactly the ``(dim - 2k)``-subsets of
+    ``range(k, dim)``; each level keeps them as bitmasks in ascending
+    (colexicographic) order, so a child's position one level down is its
+    colex rank, a sum of binomial coefficients, with no sort or search.
+    Returns, from the pairs level up to the full set, one ``(ij, slot)``
+    pair of read-only ``int32`` arrays of shape ``(subsets, size - 1)``:
+    ``ij`` is the flat index ``i * dim + j`` (partners ascending) and
+    ``slot`` the position of the child subset.
+    """
+    binom = np.array([[comb(x, r) for r in range(dim)] for x in range(dim)], dtype=np.int64)
+    levels = []
+    masks = np.array([(1 << dim) - 1], dtype=np.int64)
+    for k, size in enumerate(range(dim, 0, -2)):
+        low = masks & -masks
+        rest = masks ^ low
+        row = np.log2(low).astype(np.int32) * dim
+        children = np.empty((len(masks), size - 1), dtype=np.int64)
+        ij = np.empty(children.shape, dtype=np.int32)
+        slot = np.empty(children.shape, dtype=np.int64)
+        # the child without partner t has colex rank (relative to k + 1)
+        #   sum_{u<t} C(j_u - k - 1, u + 1) + sum_{u>t} C(j_u - k - 1, u);
+        # `before` accumulates the first sum, `after` the second's terms
+        before = np.zeros(len(masks), dtype=np.int64)
+        after = np.zeros(len(masks), dtype=np.int64)
+        sweep = rest.copy()
+        for t in range(size - 1):
+            low = sweep & -sweep
+            sweep ^= low
+            j = np.log2(low).astype(np.int32)
+            children[:, t] = rest ^ low
+            ij[:, t] = row + j
+            after += binom[j - k - 1, t]
+            slot[:, t] = before - after
+            before += binom[j - k - 1, t + 1]
+        slot += after[:, None]
+        masks = np.empty(binom[dim - k - 1, size - 2], dtype=np.int64)
+        masks[slot] = children
+        slot = slot.astype(np.int32)
+        ij.setflags(write=False)
+        slot.setflags(write=False)
+        levels.append((ij, slot))
+    return tuple(reversed(levels))
+
+
+def hafnian_dp(matrix, *, max_dim: int = HAFNIAN_DP_MAX_DIM) -> complex:
+    """Hafnian by the subset recursion, evaluated one subset size at a time.
 
     haf(S) = sum over j in S of c[min(S), j] * haf(S minus {min(S), j}),
-    haf(empty) = 1.  Memory grows with the number of reachable subsets,
-    bounded by 2^dim and capped by the configured limit.
+    haf(empty) = 1, partners in ascending order; reads only the upper
+    triangle.  Each level is a gather, a multiply and a row sum over the
+    cached ``_dp_schedule(dim)``, whose size (the number of reachable
+    subset/partner terms, 89 665 at dim 20) sets the memory.
     """
     c = _as_square(matrix)
     dim = c.shape[0]
     _check_even(dim)
-    _check_cap(dim, max_dim if max_dim is not None else LIMITS.hafnian_dp, "hafnian_dp")
+    _check_cap(dim, min(max_dim, 62), "hafnian_dp")  # subsets are int64 bitmasks
     if dim == 0:
         return 1.0 + 0.0j
-    memo: dict[int, complex] = {0: 1.0 + 0.0j}
-
-    def rec(mask: int) -> complex:
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        i = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << i)
-        acc = 0.0 + 0.0j
-        sweep = rest
-        while sweep:
-            low = sweep & -sweep
-            j = low.bit_length() - 1
-            acc += c[i, j] * rec(rest ^ low)
-            sweep ^= low
-        memo[mask] = acc
-        return acc
-
-    return rec((1 << dim) - 1)
+    (pairs, _), *levels = _dp_schedule(dim)
+    flat = c.ravel()
+    haf = flat.take(pairs[:, 0])
+    for ij, slot in levels:
+        terms = flat.take(ij)
+        terms *= haf.take(slot)
+        haf = terms.sum(axis=1)
+    return complex(haf[0])
 
 
-def permanent(matrix, *, max_dim: int | None = None) -> complex:
+def permanent(matrix, *, max_dim: int = PERMANENT_MAX_DIM) -> complex:
     """Permanent via Ryser's inclusion-exclusion with Gray-code column updates."""
     b = _as_square(matrix)
     n = b.shape[0]
-    _check_cap(n, max_dim if max_dim is not None else LIMITS.permanent, "permanent")
+    _check_cap(n, max_dim, "permanent")
     if n == 0:
         return 1.0 + 0.0j
     row_sums = np.zeros(n, dtype=complex)
@@ -174,7 +198,7 @@ def _cycle_count(perm: tuple) -> int:
     return cycles
 
 
-def alpha_det(matrix, alpha: float, *, max_dim: int | None = None) -> complex:
+def alpha_det(matrix, alpha: float, *, max_dim: int = ALPHA_DET_MAX_DIM) -> complex:
     """Cycle-weighted permutation sum: sum over permutations of
     alpha^(n - #cycles) times the product of matched entries.
 
@@ -182,7 +206,7 @@ def alpha_det(matrix, alpha: float, *, max_dim: int | None = None) -> complex:
     """
     b = _as_square(matrix)
     n = b.shape[0]
-    _check_cap(n, max_dim if max_dim is not None else LIMITS.alpha_det, "alpha_det")
+    _check_cap(n, max_dim, "alpha_det")
     if n == 0:
         return 1.0 + 0.0j
     rows = np.arange(n)
@@ -223,23 +247,28 @@ def bench_hafnian(sizes, repetitions: int = 3, *, seed: int = 0,
                   max_dim: int | None = None) -> list[BenchRow]:
     """Median wall-clock time of both hafnian algorithms per size.
 
-    Sizes must be even and within each algorithm's limit (or ``max_dim``).
+    Sizes must be even.  Each algorithm is timed only up to its own cap
+    (or ``max_dim`` for both); a size beyond every cap raises.
     """
+    algorithms = (("enum", hafnian_enum, HAFNIAN_ENUM_MAX_DIM),
+                  ("dp", hafnian_dp, HAFNIAN_DP_MAX_DIM))
+    if max_dim is not None:
+        algorithms = tuple((name, fn, max_dim) for name, fn, _ in algorithms)
     rows: list[BenchRow] = []
     rng = np.random.default_rng(seed)
     for size in sizes:
-        c = random_symmetric(int(size), rng)
-        for name, fn, cap in (
-            ("enum", hafnian_enum, LIMITS.hafnian_enum),
-            ("dp", hafnian_dp, LIMITS.hafnian_dp),
-        ):
-            cap = max_dim if max_dim is not None else cap
+        size = int(size)
+        c = random_symmetric(size, rng)
+        _check_cap(size, max(cap for _, _, cap in algorithms), "bench_hafnian")
+        for name, fn, cap in algorithms:
+            if size > cap:
+                continue
             times = []
             for _ in range(repetitions):
                 t0 = time.perf_counter()
                 fn(c, max_dim=cap)
                 times.append(time.perf_counter() - t0)
-            rows.append(BenchRow(name, int(size), repetitions, median(times)))
+            rows.append(BenchRow(name, size, repetitions, median(times)))
     return rows
 
 

@@ -286,6 +286,20 @@ def test_verify_unknown_config_key(tmp_path, capsys):
      "model parameter 'n_freq' must be a number"),
     ({"models": [{"builtin": "proper-fourier", "params": "x"}]},
      "parameters for 'proper-fourier' must be an object"),
+    ({"models": [{"builtin": "proper-fourier", "params": {"n_freq": 0}}]},
+     "model parameter 'n_freq' must be at least 1"),
+    ({"models": [{"builtin": "proper-fourier", "params": {"n_freq": -2}}]},
+     "model parameter 'n_freq' must be at least 1"),
+    ({"models": [{"builtin": "real-gauss", "params": {"n_centers": 0}}]},
+     "model parameter 'n_centers' must be at least 1"),
+    ({"models": [{"builtin": "alpha-beta-demo", "params": {"d_half": -1}}]},
+     "model parameter 'd_half' must be at least 1"),
+    ({"models": [{"builtin": "proper-fourier", "params": {"lengthscale": 0}}]},
+     "'lengthscale' must be finite and positive"),
+    ({"models": [{"builtin": "real-gauss", "params": {"lengthscale": -0.5}}]},
+     "'lengthscale' must be finite and positive"),
+    ({"models": [{"builtin": "alpha-beta-demo", "params": {"lengthscale": 1e400}}]},
+     "'lengthscale' must be finite and positive"),
 ])
 def test_verify_malformed_config_exit_2(tmp_path, capsys, doc, message):
     cfg = tmp_path / "cfg.json"
@@ -304,3 +318,15 @@ def test_bench_command(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert lines[0] == "algorithm,size,repetitions,median_seconds"
     assert len(lines) == 5
+
+
+def test_bench_times_each_algorithm_up_to_its_cap(capsys):
+    # 20 is above the enumeration cap (16) but within the dp cap (24)
+    code, out = run("bench", "--sizes", "20", "--reps", "1", capsys=capsys)
+    assert code == 0
+    lines = out.out.splitlines()
+    assert lines[0] == "algorithm,size,repetitions,median_seconds"
+    assert len(lines) == 2 and lines[1].startswith("dp,20,1,")
+    code, out = run("bench", "--sizes", "26", "--reps", "1", capsys=capsys)
+    assert code == 2
+    assert "dimension 26 exceeds limit 24" in out.err

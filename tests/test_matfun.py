@@ -31,6 +31,30 @@ def double_factorial(k):
     return math.prod(range(k, 0, -2))
 
 
+def haf_memo_reference(c):
+    """The memoized bitmask recursion ``hafnian_dp`` used before it was
+    evaluated level by level: same recurrence, one Python call per term."""
+    dim = c.shape[0]
+    memo = {0: 1.0 + 0.0j}
+
+    def rec(mask):
+        hit = memo.get(mask)
+        if hit is not None:
+            return hit
+        i = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << i)
+        acc = 0.0 + 0.0j
+        sweep = rest
+        while sweep:
+            low = sweep & -sweep
+            acc += c[i, low.bit_length() - 1] * rec(rest ^ low)
+            sweep ^= low
+        memo[mask] = acc
+        return acc
+
+    return rec((1 << dim) - 1)
+
+
 # ---------------------------------------------------------------------------
 # hafnian
 # ---------------------------------------------------------------------------
@@ -94,12 +118,38 @@ def test_hafnian_permutation_invariance():
         assert abs(mf.hafnian_dp(shuffled) - base) <= 1e-12 * abs(base)
 
 
-def test_hafnian_worker_count_does_not_change_bits():
-    rng = np.random.default_rng(5)
+@pytest.mark.parametrize("dim", range(0, 17, 2))
+def test_hafnian_dp_matches_memo_reference(dim):
+    rng = np.random.default_rng(500 + dim)
+    for _ in range(3):
+        c = mf.random_symmetric(dim, rng)
+        expected = haf_memo_reference(c)
+        assert abs(mf.hafnian_dp(c) - expected) <= 1e-12 * abs(expected)
+
+
+def test_hafnian_dp_builds_schedule_once_per_dimension():
+    mf._dp_schedule.cache_clear()
+    rng = np.random.default_rng(8)
+    for _ in range(4):
+        for dim in (2, 6, 10):
+            mf.hafnian_dp(mf.random_symmetric(dim, rng))
+    info = mf._dp_schedule.cache_info()
+    assert (info.misses, info.hits) == (3, 9)
+
+
+def test_hafnian_dp_leaves_input_unchanged():
+    rng = np.random.default_rng(9)
     c = mf.random_symmetric(10, rng)
-    lone = mf.hafnian_enum(c)
-    for workers in (2, 3, 8):
-        assert mf.hafnian_enum(c, workers=workers) == lone
+    before = c.copy()
+    mf.hafnian_dp(c)
+    assert np.array_equal(c, before)
+
+
+def test_hafnian_dp_reads_upper_triangle_only():
+    rng = np.random.default_rng(10)
+    c = mf.random_symmetric(8, rng)
+    lower = np.tril(rng.standard_normal((8, 8)) + 1j, -1)
+    assert mf.hafnian_dp(np.triu(c) + lower) == mf.hafnian_dp(c)
 
 
 def test_hafnian_rejects_odd_and_oversize():
@@ -115,6 +165,9 @@ def test_hafnian_rejects_odd_and_oversize():
         mf.hafnian_enum(np.zeros((2, 3)))
     # a raised per-call cap admits what the default rejects
     assert mf.hafnian_dp(np.zeros((26, 26)), max_dim=26) == 0
+    # ... up to the 62 bits a subset bitmask holds
+    with pytest.raises(CapacityError):
+        mf.hafnian_dp(np.zeros((64, 64)), max_dim=64)
 
 
 # ---------------------------------------------------------------------------
