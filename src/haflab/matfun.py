@@ -243,30 +243,26 @@ def random_symmetric(dim: int, rng: np.random.Generator) -> np.ndarray:
     return a
 
 
-def bench_hafnian(sizes, repetitions: int = 3, *, seed: int = 0,
-                  max_dim: int | None = None) -> list[BenchRow]:
+def bench_hafnian(sizes, repetitions: int = 3, *, seed: int = 0) -> list[BenchRow]:
     """Median wall-clock time of both hafnian algorithms per size.
 
-    Sizes must be even.  Each algorithm is timed only up to its own cap
-    (or ``max_dim`` for both); a size beyond every cap raises.
+    Sizes must be even.  Each algorithm is timed only up to its own cap;
+    a size beyond every cap raises.
     """
-    algorithms = (("enum", hafnian_enum, HAFNIAN_ENUM_MAX_DIM),
-                  ("dp", hafnian_dp, HAFNIAN_DP_MAX_DIM))
-    if max_dim is not None:
-        algorithms = tuple((name, fn, max_dim) for name, fn, _ in algorithms)
     rows: list[BenchRow] = []
     rng = np.random.default_rng(seed)
     for size in sizes:
         size = int(size)
         c = random_symmetric(size, rng)
-        _check_cap(size, max(cap for _, _, cap in algorithms), "bench_hafnian")
-        for name, fn, cap in algorithms:
+        _check_cap(size, HAFNIAN_DP_MAX_DIM, "bench_hafnian")
+        for name, fn, cap in (("enum", hafnian_enum, HAFNIAN_ENUM_MAX_DIM),
+                              ("dp", hafnian_dp, HAFNIAN_DP_MAX_DIM)):
             if size > cap:
                 continue
             times = []
             for _ in range(repetitions):
                 t0 = time.perf_counter()
-                fn(c, max_dim=cap)
+                fn(c)
                 times.append(time.perf_counter() - t0)
             rows.append(BenchRow(name, size, repetitions, median(times)))
     return rows
