@@ -14,6 +14,7 @@ states; index 0 is the vacuum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,7 +54,8 @@ class FockBasis:
         self.n_modes = n_grid + n_feature
         self.states = list(_occupations(self.n_modes, truncation))
         self.index = {s: i for i, s in enumerate(self.states)}
-        occ = np.array(self.states, dtype=np.int64)
+        self.occupations = occ = np.array(self.states, dtype=np.int64)
+        occ.flags.writeable = False
         self.totals = occ.sum(axis=1)
         # Raising tables, built once per basis: the states below the cutoff,
         # and per mode j (rows) the index of each one's +1_j neighbour and
@@ -189,12 +191,28 @@ def annihilate(basis: FockBasis, f) -> FockOperator:
     return FockOperator(basis, _raising(basis, f).T.tocsr())
 
 
+def _ladder_op(basis: FockBasis, g, f, c) -> FockOperator:
+    op = create(basis, g) + annihilate(basis, f)
+    return op + c * identity(basis) if c else op
+
+
+def _ladder_apply(basis: FockBasis, g, f, c, vec: np.ndarray) -> np.ndarray:
+    """(create(g) + annihilate(f) + c) vec, straight from the raising tables."""
+    src, dst, amp = basis.raise_src, basis.raise_dst, basis.raise_amp
+    out = c * vec
+    for j in np.nonzero(g)[0]:
+        out[dst[j]] += g[j] * amp[j] * vec[src]
+    support = np.nonzero(f)[0]
+    out[src] += f[support] @ (amp[support] * vec[dst[support]])
+    return out
+
+
 def neutral(basis: FockBasis, cells) -> FockOperator:
     """Diagonal operator counting total occupation in the given grid modes."""
     idx = sorted({int(c) for c in cells})
     if any(c < 0 or c >= basis.n_grid for c in idx):
         raise DimensionError(f"cells must be grid modes 0..{basis.n_grid - 1}")
-    diag = np.array([sum(s[c] for c in idx) for s in basis.states], dtype=complex)
+    diag = basis.occupations[:, idx].sum(axis=1).astype(complex)
     return FockOperator(basis, sparse.diags(diag, format="csr", dtype=complex))
 
 
@@ -246,6 +264,22 @@ def psi(basis: FockBasis, model: GaussianFieldModel, m: int) -> FockOperator:
 # ---------------------------------------------------------------------------
 
 
+def _ladder_coeffs(basis: FockBasis, source, m: int):
+    """(g, f, c) of A+ and of A- at cell m, each create(g) + annihilate(f) + c."""
+    if isinstance(source, GaussianFieldModel):
+        _check_model(basis, source)
+        l1, l2 = _feature_embed(basis, source.l1[:, m]), _feature_embed(basis, source.l2[:, m])
+        lam = 0.0
+    elif isinstance(source, IntensityProfile):
+        _check_profile(basis, source)
+        l1 = l2 = np.zeros(basis.n_modes, dtype=complex)
+        lam = source.lam[m]
+    else:
+        raise DimensionError(f"unsupported source {type(source).__name__}")
+    grid = _grid_embed(basis, m, 1.0 / math.sqrt(source.grid.volumes[m]))
+    return (grid + l2.conj(), l1.conj(), np.conj(lam)), (l1, grid + l2, lam)
+
+
 def ladder_pair(basis: FockBasis, source, m: int) -> tuple[FockOperator, FockOperator]:
     """(A+, A-) at cell m for a field model or an intensity profile.
 
@@ -253,25 +287,18 @@ def ladder_pair(basis: FockBasis, source, m: int) -> tuple[FockOperator, FockOpe
     on feature modes; A- is its adjoint.  Intensity profile (grid-only
     basis): the ladder pair shifted by the scalar intensity amplitude.
     """
-    if isinstance(source, GaussianFieldModel):
-        _check_model(basis, source)
-        vol = source.grid.volumes[m]
-        up = create(basis, _grid_embed(basis, m, 1.0 / math.sqrt(vol))
-                    + _feature_embed(basis, source.l2[:, m].conj()))
-        up = up + annihilate(basis, _feature_embed(basis, source.l1[:, m].conj()))
-        down = annihilate(basis, _grid_embed(basis, m, 1.0 / math.sqrt(vol))
-                          + _feature_embed(basis, source.l2[:, m]))
-        down = down + create(basis, _feature_embed(basis, source.l1[:, m]))
-        return up, down
-    if isinstance(source, IntensityProfile):
-        _check_profile(basis, source)
-        vol = source.grid.volumes[m]
-        lam = source.lam[m]
-        shift = 1.0 / math.sqrt(vol)
-        up = create(basis, _grid_embed(basis, m, shift)) + np.conj(lam) * identity(basis)
-        down = annihilate(basis, _grid_embed(basis, m, shift)) + lam * identity(basis)
-        return up, down
-    raise DimensionError(f"unsupported source {type(source).__name__}")
+    up, down = _ladder_coeffs(basis, source, m)
+    return _ladder_op(basis, *up), _ladder_op(basis, *down)
+
+
+def _rho_apply(basis: FockBasis, source, cells, vec: np.ndarray) -> np.ndarray:
+    """rho(cells) vec as sum_m vol_m A+(x_m) (A-(x_m) vec), with no operator."""
+    out = np.zeros_like(vec)
+    for m in sorted(cells):
+        up, down = _ladder_coeffs(basis, source, m)
+        out += source.grid.volumes[m] * _ladder_apply(
+            basis, *up, _ladder_apply(basis, *down, vec))
+    return out
 
 
 def rho(basis: FockBasis, source, cells) -> FockOperator:
@@ -303,12 +330,13 @@ def _as_cellsets(source, boxes) -> list[frozenset]:
     return out
 
 
-def wick(basis: FockBasis, source, boxes, *, max_order: int = 4) -> FockOperator:
-    """Normal-ordered product of particle densities over the given boxes.
+def _wick(basis: FockBasis, source, boxes, max_order: int, base, rho_step):
+    """Normal-ordered product of densities over the boxes, applied to ``base``
+    (the identity operator or the vacuum vector) through ``rho_step``.
 
     Recursion: the order n+1 polynomial is rho(D_{n+1}) times the order n
     one, minus the sum over slots i of the order n polynomial with D_i
-    replaced by its intersection with D_{n+1}.
+    replaced by its intersection with D_{n+1}.  Each box tuple is built once.
     """
     cellsets = _as_cellsets(source, boxes)
     n = len(cellsets)
@@ -317,31 +345,35 @@ def wick(basis: FockBasis, source, boxes, *, max_order: int = 4) -> FockOperator
     if basis.truncation < 2 * n:
         raise CapacityError(
             f"truncation {basis.truncation} too small for order {n} (need >= {2 * n})")
-    cache: dict[frozenset, FockOperator] = {}
+    memo = {(): base}
 
-    def rho_cached(cells: frozenset) -> FockOperator:
-        if cells not in cache:
-            cache[cells] = rho(basis, source, cells)
-        return cache[cells]
-
-    def build(sets: tuple[frozenset, ...]) -> FockOperator:
-        if len(sets) == 1:
-            return rho_cached(sets[0])
-        head, last = sets[:-1], sets[-1]
-        out = rho_cached(last) @ build(head)
-        for i in range(len(head)):
-            replaced = head[:i] + (head[i] & last,) + head[i + 1:]
-            out = out - build(replaced)
-        return out
+    def build(sets: tuple[frozenset, ...]):
+        if sets not in memo:
+            head, last = sets[:-1], sets[-1]
+            out = rho_step(last, build(head))
+            for i in range(len(head)):
+                out = out - build(head[:i] + (head[i] & last,) + head[i + 1:])
+            memo[sets] = out
+        return memo[sets]
 
     return build(tuple(cellsets))
 
 
+def wick(basis: FockBasis, source, boxes, *, max_order: int = 4) -> FockOperator:
+    """Normal-ordered product of particle densities over the given boxes."""
+    rho_cached = functools.cache(lambda cells: rho(basis, source, cells))
+    return _wick(basis, source, boxes, max_order, identity(basis),
+                 lambda cells, op: rho_cached(cells) @ op)
+
+
 def theta(basis: FockBasis, source, boxes, *, max_order: int = 4) -> complex:
     """Order-n correlation measure of the box product: the vacuum
-    expectation of the normal-ordered density product divided by n!."""
-    value = vacuum_expectation(wick(basis, source, boxes, max_order=max_order))
-    return value / math.factorial(len(list(boxes)))
+    expectation of the normal-ordered density product divided by n!,
+    evaluated on the vacuum vector without building operators."""
+    boxes = list(boxes)
+    vec = _wick(basis, source, boxes, max_order, basis.vacuum(),
+                lambda cells, v: _rho_apply(basis, source, cells, v))
+    return complex(vec[0]) / math.factorial(len(boxes))
 
 
 def moment(basis: FockBasis, source, boxes, order=None) -> complex:
@@ -357,9 +389,8 @@ def moment(basis: FockBasis, source, boxes, order=None) -> complex:
             f"truncation {basis.truncation} too small for degree {degree}")
     vec = basis.vacuum()
     for cells, k in zip(reversed(cellsets), reversed(mult)):
-        op = rho(basis, source, cells)
         for _ in range(k):
-            vec = op.apply(vec)
+            vec = _rho_apply(basis, source, cells, vec)
     return complex(vec[0])
 
 
@@ -368,12 +399,9 @@ def moment(basis: FockBasis, source, boxes, order=None) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def b_field(basis: FockBasis, source, h) -> FockOperator:
-    """Hermitian combination sum_m vol_m (h_m A+(x_m) + conj(h_m) A-(x_m)).
-
-    The ladder pair is linear in the cell, so the sum is one creation plus
-    one annihilation (plus a scalar shift for an intensity profile).
-    """
+def _b_coeffs(basis: FockBasis, source, h):
+    """(u, w, shift) with b_field(h) = create(u) + annihilate(w) + shift: the
+    ladder pair is linear in the cell, so the sum over cells is one of each."""
     h = np.asarray(h, dtype=complex)
     grid = source.grid
     if h.shape != (grid.n_cells,):
@@ -385,19 +413,25 @@ def b_field(basis: FockBasis, source, h) -> FockOperator:
         vh, vhc = vol * h, vol * h.conj()
         u = np.concatenate([grid_u, source.l2.conj() @ vh + source.l1 @ vhc])
         w = np.concatenate([grid_w, source.l1.conj() @ vh + source.l2 @ vhc])
-        return create(basis, u) + annihilate(basis, w)
+        return u, w, 0.0
     if isinstance(source, IntensityProfile):
         _check_profile(basis, source)
         shift = np.sum(vol * (h * np.conj(source.lam) + h.conj() * source.lam))
-        return create(basis, grid_u) + annihilate(basis, grid_w) + shift * identity(basis)
+        return grid_u, grid_w, shift
     raise DimensionError(f"unsupported source {type(source).__name__}")
+
+
+def b_field(basis: FockBasis, source, h) -> FockOperator:
+    """Hermitian combination sum_m vol_m (h_m A+(x_m) + conj(h_m) A-(x_m))."""
+    return _ladder_op(basis, *_b_coeffs(basis, source, h))
 
 
 def quasifree_T(basis: FockBasis, source, hs) -> complex:
     """Centered k-point function of the Hermitian combinations.
 
-    k = 1 returns the plain vacuum expectation; k >= 2 the expectation of
-    the product of centered operators, in list order.
+    k = 1 returns the plain vacuum expectation (the shift); k >= 2 the
+    expectation of the product of centered operators, in list order, on
+    the vacuum vector.  Centring drops the shift: <0|create + annihilate|0> = 0.
     """
     funcs = list(hs)
     k = len(funcs)
@@ -405,13 +439,12 @@ def quasifree_T(basis: FockBasis, source, hs) -> complex:
         raise PreconditionError("need at least one test function")
     if basis.truncation < k:
         raise CapacityError(f"truncation {basis.truncation} too small for {k} factors")
-    ops = [b_field(basis, source, h) for h in funcs]
+    coeffs = [_b_coeffs(basis, source, h) for h in funcs]
     if k == 1:
-        return vacuum_expectation(ops[0])
-    centered = [op - vacuum_expectation(op) * identity(basis) for op in ops]
+        return complex(coeffs[0][2])
     vec = basis.vacuum()
-    for op in reversed(centered):
-        vec = op.apply(vec)
+    for u, w, _ in reversed(coeffs):
+        vec = _ladder_apply(basis, u, w, 0.0, vec)
     return complex(vec[0])
 
 

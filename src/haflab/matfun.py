@@ -246,8 +246,8 @@ def random_symmetric(dim: int, rng: np.random.Generator) -> np.ndarray:
 def bench_hafnian(sizes, repetitions: int = 3, *, seed: int = 0) -> list[BenchRow]:
     """Median wall-clock time of both hafnian algorithms per size.
 
-    Sizes must be even.  Each algorithm is timed only up to its own cap;
-    a size beyond every cap raises.
+    Sizes must be even.  Each algorithm is timed only up to its own cap,
+    after one untimed call; a size beyond every cap raises.
     """
     rows: list[BenchRow] = []
     rng = np.random.default_rng(seed)
@@ -259,6 +259,7 @@ def bench_hafnian(sizes, repetitions: int = 3, *, seed: int = 0) -> list[BenchRo
                               ("dp", hafnian_dp, HAFNIAN_DP_MAX_DIM)):
             if size > cap:
                 continue
+            fn(c)  # untimed warm-up: the first dp call per size builds its schedule
             times = []
             for _ in range(repetitions):
                 t0 = time.perf_counter()

@@ -177,16 +177,13 @@ def field_moment_mc(model: GaussianFieldModel, points, n_samples: int, seed,
     rng = _as_rng(seed)
     factor = _augmented(model)[1]
     m = model.grid.n_cells
-    nb = max(1, min(batches, n_samples))
-    base, extra = divmod(n_samples, nb)
-    sizes = [base + (1 if i < extra else 0) for i in range(nb)]
-    batch_means = np.empty(nb)
-    for i, sz in enumerate(sizes):
-        z = rng.standard_normal((sz, 2 * m)) @ factor.T
+    values = np.empty(n_samples)
+    # Draw in the batch-sized chunks that _batch_stats averages: bounded memory.
+    for chunk in np.array_split(values, max(1, min(batches, n_samples))):
+        z = rng.standard_normal((chunk.size, 2 * m)) @ factor.T
         g = z[:, :m] + 1j * z[:, m:]
-        batch_means[i] = np.prod(np.abs(g[:, pts]) ** 2, axis=1).mean()
-    value = float(np.average(batch_means, weights=sizes))
-    se = float(batch_means.std(ddof=1) / np.sqrt(nb)) if nb > 1 else 0.0
+        chunk[:] = np.prod(np.abs(g[:, pts]) ** 2, axis=1)
+    value, se = _batch_stats(values, batches)
     label = "E prod |G|^2 at " + ",".join(map(str, pts.tolist()))
     return MomentReport(label, value, se, n_samples)
 

@@ -242,6 +242,16 @@ def test_verify_small_battery(tmp_path, capsys):
     assert len(report.read_text().splitlines()) == 2 * n
 
 
+def test_verify_default_battery_has_61_checks(capsys):
+    # the default battery is what the verify benchmark workload runs
+    code, out = run("verify", capsys=capsys)
+    lines = out.out.splitlines()
+    assert code == 0
+    assert len(lines) == 62
+    assert all(line.startswith("PASS ") for line in lines[:61])
+    assert lines[-1] == "61/61 checks passed"
+
+
 def test_verify_corrupted_model_exit_2(tmp_path, capsys):
     model_path = tmp_path / "model.json"
     doc = {"grid": {"window": [0.0, 1.0], "cells": 1}, "feature_dim": 1,

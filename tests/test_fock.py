@@ -608,6 +608,95 @@ def test_quasifree_poisson_centered_orders(poisson_setup):
 
 
 # ---------------------------------------------------------------------------
+# vacuum-vector evaluation against the operator route
+# ---------------------------------------------------------------------------
+
+# Disjoint, overlapping and repeated box families of orders 1-4 on 3 cells.
+BOX_FAMILIES = ([[0, 1]], [[0], [1, 2]], [[0, 1], [1, 2]], [[0, 1], [0, 1]],
+                [[0], [1], [2]], [[0, 1], [1, 2], [0]], [[0, 1, 2]] * 3,
+                [[0, 1], [1, 2], [2], [0]], [[0], [1], [2], [0, 1, 2]], [[0, 1]] * 4)
+
+
+@pytest.fixture(scope="module")
+def sources():
+    # every builtin model and a profile, each on a basis deep enough for order 4
+    out = [(fk.FockBasis(3, m.feature_dim, 8), m) for m in MODELS.values()]
+    lam = np.array([1.0, 0.5 + 0.5j, -1j])
+    out.append((fk.FockBasis(3, 0, 8), kn.IntensityProfile(GRID, lam)))
+    return out
+
+
+def _centered_product(basis, source, hs):
+    ops = [fk.b_field(basis, source, h) for h in hs]
+    if len(ops) == 1:
+        return fk.vacuum_expectation(ops[0])
+    prod = fk.identity(basis)
+    for op in ops:
+        prod = prod @ (op - fk.vacuum_expectation(op) * fk.identity(basis))
+    return fk.vacuum_expectation(prod)
+
+
+def test_theta_equals_wick_vacuum_expectation(sources):
+    for basis, source in sources:
+        for boxes in BOX_FAMILIES:
+            th = fk.theta(basis, source, boxes)
+            ref = fk.vacuum_expectation(fk.wick(basis, source, boxes))
+            assert abs(th - ref / math.factorial(len(boxes))) <= 1e-13
+
+
+def test_moment_equals_rho_product_on_vacuum(sources):
+    for basis, source in sources:
+        for boxes, order in (([[0, 2]], [1]), ([[0, 1]], [3]), ([[0], [1, 2]], [1, 1]),
+                             ([[0, 1], [1, 2]], [2, 1]), ([[0], [1], [2], [0, 1]], None)):
+            prod = fk.identity(basis)
+            for box, k in zip(boxes, order or [1] * len(boxes)):
+                for _ in range(k):
+                    prod = prod @ fk.rho(basis, source, box)
+            got = fk.moment(basis, source, boxes, order=order)
+            assert abs(got - fk.vacuum_expectation(prod)) <= 1e-13
+
+
+def test_quasifree_T_equals_centered_b_field_product(sources):
+    rng = np.random.default_rng(18)
+    hs = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(4)]
+    hs[2][1] = 0.0
+    for basis, source in sources:
+        for k in (1, 2, 3, 4):
+            ref = _centered_product(basis, source, hs[:k])
+            assert abs(fk.quasifree_T(basis, source, hs[:k]) - ref) <= 1e-13
+
+
+def test_vacuum_routes_build_no_operators(sources, monkeypatch):
+    def no_operators(*args):
+        raise AssertionError("operator built on the vacuum route")
+
+    monkeypatch.setattr(fk, "create", no_operators)
+    monkeypatch.setattr(fk, "annihilate", no_operators)
+    hs = [np.ones(3), np.arange(3.0) + 1j]
+    for basis, source in sources:
+        assert np.isfinite(fk.theta(basis, source, [[0, 1], [1, 2], [2]]))
+        assert np.isfinite(fk.moment(basis, source, [[0], [1, 2]], order=[2, 1]))
+        assert np.isfinite(fk.quasifree_T(basis, source, hs))
+        with pytest.raises(AssertionError):
+            fk.rho(basis, source, [0])
+
+
+def test_vacuum_routes_capacity_errors():
+    model = MODELS["real-gauss"]
+    small = fk.FockBasis(3, model.feature_dim, 3)
+    with pytest.raises(CapacityError, match="too small for order 2"):
+        fk.theta(small, model, [[0], [1]])
+    with pytest.raises(CapacityError, match="too small for degree 2"):
+        fk.moment(small, model, [[0]], order=[2])
+    with pytest.raises(CapacityError, match="too small for 4 factors"):
+        fk.quasifree_T(small, model, [np.ones(3)] * 4)
+    with pytest.raises(PreconditionError):
+        fk.theta(fk.FockBasis(3, model.feature_dim, 10), model, [[0]] * 5)
+    with pytest.raises(PreconditionError):
+        fk.quasifree_T(small, model, [])
+
+
+# ---------------------------------------------------------------------------
 # dressed-pair admissibility
 # ---------------------------------------------------------------------------
 

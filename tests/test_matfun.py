@@ -233,6 +233,24 @@ def test_bench_dp_scales_better():
     assert growth_dp < growth_enum
 
 
+def test_bench_makes_one_untimed_call_before_timing(monkeypatch):
+    # per algorithm and size: one warm-up call outside the clock, then each
+    # repetition's call between two clock reads
+    events = []
+    ticks = iter(range(1000))
+    monkeypatch.setattr(mf.time, "perf_counter",
+                        lambda: events.append("clock") or float(next(ticks)))
+    for name in ("hafnian_enum", "hafnian_dp"):
+        monkeypatch.setattr(mf, name, lambda c, name=name: events.append(name))
+    rows = mf.bench_hafnian([8], repetitions=3)
+    expected = []
+    for name in ("hafnian_enum", "hafnian_dp"):
+        expected += [name] + ["clock", name, "clock"] * 3
+    assert events == expected
+    assert [(r.algorithm, r.repetitions, r.median_seconds) for r in rows] == [
+        ("enum", 3, 1.0), ("dp", 3, 1.0)]
+
+
 def test_matrix_text_roundtrip(tmp_path):
     rng = np.random.default_rng(7)
     c = mf.random_symmetric(6, rng)
