@@ -34,7 +34,6 @@ from .sampling import (
     replicate_rng,
     sample_cox,
     sample_field,
-    sample_field_direct,
     sample_poisson,
 )
 
@@ -50,7 +49,6 @@ __all__ = [
     "hafnian_enum", "permanent",
     "MomentReport", "augmented_covariance", "empirical_factorial_moment",
     "empirical_product_moment", "field_moment_mc", "quadrature_haf_moment",
-    "replicate_rng", "sample_cox", "sample_field", "sample_field_direct",
-    "sample_poisson",
+    "replicate_rng", "sample_cox", "sample_field", "sample_poisson",
     "__version__",
 ]

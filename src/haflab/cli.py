@@ -22,7 +22,7 @@ from . import kernels as kn
 from . import matfun as mf
 from . import sampling as sp
 from .errors import ConfigError, HaflabError
-from .verify import BatterySettings, run_battery
+from .verify import run_battery
 
 
 def _instance(*types):
@@ -34,6 +34,13 @@ def _list_of(test):
 
 
 _whole, _number = _instance(int), _instance(int, float)
+
+
+def _check_ranges(*checks) -> None:
+    """Raise a ConfigError for the first (what, value, low) with value < low."""
+    for what, value, low in checks:
+        if value < low:
+            raise ConfigError(f"{what} must be at least {low}, got {value}")
 
 
 @dataclass
@@ -88,8 +95,9 @@ class ExperimentConfig:
             if not (test(value) or (value is None and getattr(cls, name) is None)):
                 raise ConfigError(f"config field '{name}' must be {kind}")
         cfg = cls(**doc)
-        if cfg.replicates < 0:
-            raise ConfigError("replicates must be nonnegative")
+        _check_ranges(("'replicates'", cfg.replicates, 0), ("'seed'", cfg.seed, 0),
+                      ("'mc_samples'", cfg.mc_samples, 1), ("'max_order'", cfg.max_order, 1),
+                      ("each 'orders' entry", min(cfg.orders or [1]), 1))
         return cfg
 
     def sha256(self) -> str:
@@ -103,13 +111,7 @@ class ExperimentConfig:
                                int(self.cells))
 
     def resolve_model(self) -> kn.GaussianFieldModel:
-        entry = self.model or {"builtin": "proper-fourier"}
-        if "path" in entry:
-            return kn.load_model(entry["path"])
-        if "builtin" in entry:
-            return kn.builtin_model(entry["builtin"], self.grid(),
-                                    entry.get("params"))
-        raise ConfigError("model entry needs a 'builtin' name or a 'path'")
+        return kn.model_entry(self.model or {"builtin": "proper-fourier"}, self.grid())[1]
 
     def resolve_profile(self) -> kn.IntensityProfile:
         """Deterministic intensity amplitudes, one [re, im] pair per cell."""
@@ -262,17 +264,7 @@ def cmd_verify(args) -> int:
     if cfg.profile is not None:
         raise ConfigError("verify draws its own Poisson intensities; "
                           "remove 'profile' from the config")
-    max_order = max(int(n) for n in cfg.orders) if cfg.orders else cfg.max_order
-    settings = BatterySettings(seed=cfg.seed, window=cfg.window, cells=cfg.cells,
-                               truncation=cfg.truncation,
-                               mc_samples=cfg.mc_samples,
-                               replicates=cfg.replicates,
-                               max_order=max_order)
-    if cfg.models is not None:
-        settings.models = cfg.models
-    elif cfg.model is not None:
-        settings.models = [cfg.model]
-    results = run_battery(settings)
+    results = run_battery(cfg)
 
     lines = [json.dumps({"config_sha256": cfg.sha256(), "seed": cfg.seed},
                         sort_keys=True)]
@@ -282,19 +274,21 @@ def cmd_verify(args) -> int:
         mode = "w" if args.force else "a"
         with open(cfg.out, mode, encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
-    n_fail = 0
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        n_fail += not r.passed
-        detail = f"{r.kind}={r.statistic:.3e}" if r.statistic is not None else \
-            (r.error or "")
-        print(f"{status} {r.name} {detail}")
+        detail = f"{r.kind}={r.statistic:.3e}" if r.statistic is not None else (r.error or "")
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name} {detail}")
+    n_fail = sum(not r.passed for r in results)
     print(f"{len(results) - n_fail}/{len(results)} checks passed")
     return 0 if n_fail == 0 else 1
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else []
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else []
+    except ValueError as exc:
+        raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from exc
+    _check_ranges(("--reps", args.reps, 1), ("--seed", args.seed or 0, 0),
+                  ("each --sizes entry", min(sizes, default=0), 0))
     rows = mf.bench_hafnian(sizes, args.reps, seed=args.seed or 0)
     header = "algorithm,size,repetitions,median_seconds"
     body = [f"{r.algorithm},{r.size},{r.repetitions},{r.median_seconds:.6e}"

@@ -289,6 +289,16 @@ def builtin_model(name: str, grid: Grid, params: dict | None = None) -> Gaussian
 BUILTIN_NAMES = ("proper-fourier", "real-gauss", "alpha-beta-demo")
 
 
+def model_entry(entry: dict, grid: Grid) -> tuple[str, GaussianFieldModel]:
+    """Resolve a config model entry, ``{"path": ...}`` or ``{"builtin":
+    name, "params": {...}}`` on `grid`, to its name and model."""
+    if "path" in entry:
+        return entry["path"], load_model(entry["path"])
+    if "builtin" in entry:
+        return entry["builtin"], builtin_model(entry["builtin"], grid, entry.get("params"))
+    raise ConfigError("model entry needs a 'builtin' name or a 'path'")
+
+
 def _param(params: dict, key: str, convert, default):
     value = params.pop(key, default)
     try:

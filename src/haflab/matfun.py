@@ -47,14 +47,6 @@ def _check_cap(dim: int, cap: int, what: str) -> None:
         raise CapacityError(f"{what}: dimension {dim} exceeds limit {cap}")
 
 
-def check_symmetric(matrix, tol: float = 0.0) -> np.ndarray:
-    """Validate (and return) a square complex matrix with a[i,j] == a[j,i]."""
-    a = _as_square(matrix)
-    if not np.all(np.abs(a - a.T) <= tol):
-        raise DimensionError("matrix is not symmetric")
-    return a
-
-
 def _pair_sum(c: np.ndarray, remaining: tuple) -> complex:
     # Sum over perfect pairings of `remaining`: always pair off the first
     # index, recurse on the rest.  Summation order is fixed (partner index

@@ -116,21 +116,6 @@ def sample_field(model: GaussianFieldModel, seed, size: int | None = None) -> np
     return g[0] if size is None else g
 
 
-def sample_field_direct(alpha, beta, seed, size: int | None = None) -> np.ndarray:
-    """Draw G(x_m) = (xi . alpha[:, m] + i eta . beta[:, m]) / sqrt(2)
-    with independent standard real Gaussian vectors xi, eta."""
-    a = np.asarray(alpha, dtype=complex)
-    b = np.asarray(beta, dtype=complex)
-    if a.shape != b.shape or a.ndim != 2:
-        raise DimensionError("alpha and beta must share a (d, M) shape")
-    rng = _as_rng(seed)
-    n = 1 if size is None else int(size)
-    xi = rng.standard_normal((n, a.shape[0]))
-    eta = rng.standard_normal((n, a.shape[0]))
-    g = (xi @ a + 1j * (eta @ b)) / np.sqrt(2.0)
-    return g[0] if size is None else g
-
-
 # ---------------------------------------------------------------------------
 # Point-pattern sampling (counts per cell)
 # ---------------------------------------------------------------------------

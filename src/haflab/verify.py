@@ -1,5 +1,8 @@
 """Identity battery behind ``haflab verify``.
 
+Each identity is one public function that takes its inputs and returns
+the gap between two routes to the same number; the battery and the
+acceptance tests both call these, each with its own draws and tolerances.
 Each check produces one record with a residual (or a z-score for Monte
 Carlo comparisons), its tolerance, and a pass flag.  Capacity errors in a
 single check are reported in its record without aborting the battery.
@@ -8,7 +11,8 @@ single check are reported in its record without aborting the battery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -16,7 +20,17 @@ from . import fock as fk
 from . import kernels as kn
 from . import matfun as mf
 from . import sampling as sp
-from .errors import CapacityError, ConfigError, HaflabError
+from .errors import CapacityError, HaflabError
+
+if TYPE_CHECKING:
+    from .cli import ExperimentConfig
+
+# Models the battery runs when the config names neither `models` nor `model`.
+DEFAULT_MODELS = (
+    {"builtin": "proper-fourier", "params": {"n_freq": 1}},
+    {"builtin": "real-gauss", "params": {"n_centers": 2}},
+    {"builtin": "alpha-beta-demo", "params": {"d_half": 1}},
+)
 
 
 @dataclass
@@ -29,41 +43,7 @@ class CheckResult:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        out = {"name": self.name, "passed": self.passed, "kind": self.kind}
-        if self.statistic is not None:
-            out["statistic"] = self.statistic
-        if self.tolerance is not None:
-            out["tolerance"] = self.tolerance
-        if self.error is not None:
-            out["error"] = self.error
-        return out
-
-
-@dataclass
-class BatterySettings:
-    """Desk-scale knobs for the battery; all overridable from the config."""
-
-    seed: int = 2024
-    window: tuple = (0.0, 1.0)
-    cells: int = 3
-    truncation: int = 6
-    mc_samples: int = 40_000
-    replicates: int = 40_000
-    max_order: int = 2
-    models: list = field(default_factory=lambda: [
-        {"builtin": "proper-fourier", "params": {"n_freq": 1}},
-        {"builtin": "real-gauss", "params": {"n_centers": 2}},
-        {"builtin": "alpha-beta-demo", "params": {"d_half": 1}},
-    ])
-
-
-def _resolve_model(entry: dict, grid: kn.Grid) -> tuple[str, kn.GaussianFieldModel]:
-    if "path" in entry:
-        return entry["path"], kn.load_model(entry["path"])
-    if "builtin" in entry:
-        name = entry["builtin"]
-        return name, kn.builtin_model(name, grid, entry.get("params"))
-    raise ConfigError("model entry needs a 'builtin' name or a 'path'")
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _residual(name: str, value: float, tol: float) -> CheckResult:
@@ -85,57 +65,108 @@ def _guard(name: str, fn) -> CheckResult:
         return CheckResult(name, False, error=str(exc))
 
 
+def _rel(value, reference, floor: float = 1e-300) -> float:
+    return abs(value - reference) / max(floor, abs(reference))
+
+
+def hafnian_gap(c) -> float:
+    """Relative gap between the enumeration and the dp hafnian of `c`."""
+    return _rel(mf.hafnian_enum(c), mf.hafnian_dp(c))
+
+
+def alpha_det_gaps(b) -> tuple[float, float]:
+    """Relative gaps of `alpha_det` at alpha = 1 from the permanent and at
+    alpha = -1 from the determinant of `b`."""
+    return (_rel(mf.alpha_det(b, 1.0), mf.permanent(b)),
+            _rel(mf.alpha_det(b, -1.0), mf.determinant(b)))
+
+
+def permanental_embedding_gap(kern) -> float:
+    """Relative gap between haf([[0, K], [K^T, 0]]) (interleaved) and perm(K)."""
+    n = kern.shape[0]
+    big = np.zeros((2 * n, 2 * n), dtype=complex)
+    big[0::2, 1::2] = kern
+    big[1::2, 0::2] = kern.T
+    return _rel(mf.hafnian_dp(big), mf.permanent(kern))
+
+
+def two_permanental_gap(sym) -> float:
+    """Relative gap between haf(sym (x) ones(2, 2)) and alpha_det(sym, 2)."""
+    return _rel(mf.hafnian_dp(np.kron(sym, np.ones((2, 2)))), mf.alpha_det(sym, 2.0))
+
+
+def theta_gap(basis: fk.FockBasis, source, boxes) -> float:
+    """Relative gap between n! theta from the vacuum and the hafnian
+    quadrature of the n-box product moment."""
+    th = fk.theta(basis, source, boxes)
+    quad = sp.quadrature_haf_moment(source, boxes).value
+    return _rel(math.factorial(len(boxes)) * th, quad, 1e-12)
+
+
+def poisson_theta_gap(basis: fk.FockBasis, profile: kn.IntensityProfile, boxes) -> float:
+    """Gap between theta of a deterministic intensity and its closed form,
+    the product of the box rates over n!."""
+    rate = np.abs(profile.lam) ** 2 * profile.grid.volumes
+    closed = np.prod([rate[list(b)].sum() for b in boxes]) / math.factorial(len(boxes))
+    return abs(fk.theta(basis, profile, boxes) - closed)
+
+
+def rho_defects(basis: fk.FockBasis, source, box1, box2) -> tuple[float, float]:
+    """Largest entry of [rho(box1), rho(box2)] on the margin-4 domain, and
+    the hermiticity defect of rho(box1) on the margin-2 block."""
+    r1, r2 = fk.rho(basis, source, box1), fk.rho(basis, source, box2)
+    return (fk.max_abs_on_domain(fk.commutator(r1, r2), 4),
+            fk.hermiticity_defect(r1, 2))
+
+
+def quasifree_gaps(basis: fk.FockBasis, source, hs) -> tuple[float, float, float]:
+    """|T1|, |T3| and the gap between T4 and its pair-partition sum, for
+    four test functions `hs`."""
+    t = lambda *fs: fk.quasifree_T(basis, source, fs)
+    odd = abs(t(*hs[:1])), abs(t(*hs[:3]))
+    h0, h1, h2, h3 = hs
+    pairs = t(h0, h1) * t(h2, h3) + t(h0, h2) * t(h1, h3) + t(h0, h3) * t(h1, h2)
+    return odd + (abs(t(*hs) - pairs),)
+
+
+def growth_ratio(basis: fk.FockBasis, model: kn.GaussianFieldModel, box, n: int) -> float:
+    """n! theta of `box` repeated n times over its bound (2 * intensity)^n."""
+    grow = math.factorial(n) * fk.theta(basis, model, [box] * n).real
+    bound = (2.0 * kn.intensity_integral(model, box)) ** n
+    return grow / bound if bound > 0 else (0.0 if grow <= 0 else math.inf)
+
+
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def _matfun_checks(rng: np.random.Generator) -> list[CheckResult]:
-    out = []
-    worst = 0.0
-    for k in range(20):
-        dim = int(rng.integers(2, 6)) * 2
-        c = mf.random_symmetric(dim, rng)
-        a, b = mf.hafnian_enum(c), mf.hafnian_dp(c)
-        worst = max(worst, abs(a - b) / max(1e-300, abs(b)))
-    out.append(_residual("matfun/hafnian-oracle-equivalence", worst, 1e-10))
-
-    worst_p = worst_d = 0.0
-    for k in range(10):
+    haf = perm = det = emb = two = 0.0
+    for _ in range(20):
+        haf = max(haf, hafnian_gap(mf.random_symmetric(int(rng.integers(2, 6)) * 2, rng)))
+    for _ in range(10):
         n = int(rng.integers(2, 7))
-        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        worst_p = max(worst_p, abs(mf.alpha_det(b, 1.0) - mf.permanent(b))
-                      / abs(mf.permanent(b)))
-        worst_d = max(worst_d, abs(mf.alpha_det(b, -1.0) - mf.determinant(b))
-                      / max(1e-300, abs(mf.determinant(b))))
-    out.append(_residual("matfun/alpha-det-is-permanent", worst_p, 1e-10))
-    out.append(_residual("matfun/alpha-det-is-determinant", worst_d, 1e-10))
-
-    worst_e = 0.0
-    for k in range(5):
+        gaps = alpha_det_gaps(_complex_normal(rng, (n, n)))
+        perm, det = max(perm, gaps[0]), max(det, gaps[1])
+    for _ in range(5):
         n = int(rng.integers(2, 5))
-        kern = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        big = np.zeros((2 * n, 2 * n), dtype=complex)
-        big[0::2, 1::2] = kern
-        big[1::2, 0::2] = kern.T
-        worst_e = max(worst_e, abs(mf.hafnian_dp(big) - mf.permanent(kern))
-                      / abs(mf.permanent(kern)))
-    out.append(_residual("matfun/permanental-embedding", worst_e, 1e-10))
-
-    worst_2 = 0.0
-    for k in range(5):
+        emb = max(emb, permanental_embedding_gap(_complex_normal(rng, (n, n))))
+    for _ in range(5):
         n = int(rng.integers(2, 5))
         sym = rng.standard_normal((n, n))
-        sym = (sym + sym.T) / 2
-        big = np.kron(sym, np.ones((2, 2)))
-        worst_2 = max(worst_2, abs(mf.hafnian_dp(big) - mf.alpha_det(sym, 2.0))
-                      / abs(mf.alpha_det(sym, 2.0)))
-    out.append(_residual("matfun/two-permanental-embedding", worst_2, 1e-10))
-    return out
+        two = max(two, two_permanental_gap((sym + sym.T) / 2))
+    return [_residual("matfun/hafnian-oracle-equivalence", haf, 1e-10),
+            _residual("matfun/alpha-det-is-permanent", perm, 1e-10),
+            _residual("matfun/alpha-det-is-determinant", det, 1e-10),
+            _residual("matfun/permanental-embedding", emb, 1e-10),
+            _residual("matfun/two-permanental-embedding", two, 1e-10)]
 
 
-def _model_checks(tag: str, model: kn.GaussianFieldModel, cfg: BatterySettings,
-                  rng: np.random.Generator) -> list[CheckResult]:
+def _model_checks(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig,
+                  max_order: int, rng: np.random.Generator) -> list[CheckResult]:
     out = []
-    grid = model.grid
-    m_cells = grid.n_cells
-    boxes2 = [[i for i in range(m_cells) if i % 2 == 0],
-              [i for i in range(m_cells) if i % 2 == 1]]
+    m_cells = model.grid.n_cells
+    boxes2 = cfg.disjoint_boxes(m_cells)
 
     viol = kn.validate_features(model.l1, model.l2)
     out.append(CheckResult(f"kernels/feature-conditions[{tag}]", not viol,
@@ -162,7 +193,7 @@ def _model_checks(tag: str, model: kn.GaussianFieldModel, cfg: BatterySettings,
                        0.0, float(se))
     out.append(_guard(f"sampling/field-covariance-mc[{tag}]", cov_mc))
 
-    for n in range(1, cfg.max_order + 1):
+    for n in range(1, max_order + 1):
         pts = [(2 * j) % m_cells for j in range(n)]
 
         def haf_mc(n=n, pts=pts):
@@ -184,36 +215,23 @@ def _model_checks(tag: str, model: kn.GaussianFieldModel, cfg: BatterySettings,
     def fock_checks():
         res = []
         basis = fk.FockBasis(m_cells, model.feature_dim, cfg.truncation)
-        for n in range(1, cfg.max_order + 1):
+        for n in range(1, max_order + 1):
             boxes = [[j] for j in range(n)] if n > 1 else [list(range(m_cells))]
-            th = fk.theta(basis, model, boxes)
-            quad = sp.quadrature_haf_moment(model, boxes).value
-            rel = abs(math.factorial(n) * th - quad) / max(1e-12, abs(quad))
-            res.append(_residual(f"fock/theta-vs-quadrature[{tag},n={n}]", rel, 1e-9))
+            res.append(_residual(f"fock/theta-vs-quadrature[{tag},n={n}]",
+                                 theta_gap(basis, model, boxes), 1e-9))
         # overlapping boxes: both contain cell 0
-        r1 = fk.rho(basis, model, set(boxes2[0]) | {0})
-        r2 = fk.rho(basis, model, set(boxes2[1]) | {0})
-        res.append(_residual(f"fock/rho-commutation[{tag}]",
-                             fk.max_abs_on_domain(fk.commutator(r1, r2), 4), 1e-10))
-        res.append(_residual(f"fock/rho-hermiticity[{tag}]",
-                             fk.hermiticity_defect(r1, 2), 1e-13))
-        hs = [rng.standard_normal(m_cells) + 1j * rng.standard_normal(m_cells)
-              for _ in range(4)]
-        res.append(_residual(f"fock/quasifree-T1[{tag}]",
-                             abs(fk.quasifree_T(basis, model, hs[:1])), 1e-10))
-        res.append(_residual(f"fock/quasifree-T3[{tag}]",
-                             abs(fk.quasifree_T(basis, model, hs[:3])), 1e-10))
-        t2 = lambda a, b: fk.quasifree_T(basis, model, [a, b])
-        pairs = (t2(hs[0], hs[1]) * t2(hs[2], hs[3])
-                 + t2(hs[0], hs[2]) * t2(hs[1], hs[3])
-                 + t2(hs[0], hs[3]) * t2(hs[1], hs[2]))
-        res.append(_residual(f"fock/quasifree-T4-pairing[{tag}]",
-                             abs(fk.quasifree_T(basis, model, hs) - pairs), 1e-9))
+        comm, herm = rho_defects(basis, model, set(boxes2[0]) | {0},
+                                 set(boxes2[1]) | {0})
+        res.append(_residual(f"fock/rho-commutation[{tag}]", comm, 1e-10))
+        res.append(_residual(f"fock/rho-hermiticity[{tag}]", herm, 1e-13))
+        t1, t3, pairing = quasifree_gaps(
+            basis, model, [_complex_normal(rng, m_cells) for _ in range(4)])
+        res.append(_residual(f"fock/quasifree-T1[{tag}]", t1, 1e-10))
+        res.append(_residual(f"fock/quasifree-T3[{tag}]", t3, 1e-10))
+        res.append(_residual(f"fock/quasifree-T4-pairing[{tag}]", pairing, 1e-9))
         box = list(range(m_cells))
         for n in range(1, min(3, cfg.truncation // 2) + 1):
-            grow = math.factorial(n) * fk.theta(basis, model, [box] * n).real
-            bound = (2.0 * kn.intensity_integral(model, box)) ** n
-            ratio = grow / bound if bound > 0 else (0.0 if grow <= 0 else math.inf)
+            ratio = growth_ratio(basis, model, box, n)
             res.append(CheckResult(f"fock/growth-bound[{tag},n={n}]",
                                    bool(ratio <= 1 + 1e-12), float(ratio), 1.0))
         return res
@@ -226,38 +244,36 @@ def _model_checks(tag: str, model: kn.GaussianFieldModel, cfg: BatterySettings,
     return out
 
 
-def _poisson_checks(cfg: BatterySettings, rng: np.random.Generator) -> list[CheckResult]:
-    out = []
+def _poisson_checks(cfg: ExperimentConfig, rng: np.random.Generator) -> list[CheckResult]:
     grid = kn.Grid.regular(*cfg.window, max(2, cfg.cells))
-    lam = (rng.standard_normal(grid.n_cells) + 1j * rng.standard_normal(grid.n_cells))
-    profile = kn.IntensityProfile(grid, lam)
-    rate = np.abs(lam) ** 2 * grid.volumes
+    profile = kn.IntensityProfile(grid, _complex_normal(rng, grid.n_cells))
+    rate = np.abs(profile.lam) ** 2 * grid.volumes
 
     pats = sp.sample_poisson(profile, rng, size=cfg.replicates)
     emp = sp.empirical_product_moment(pats, [list(range(grid.n_cells))])
-    out.append(_zscore("poisson/mean-count-mc", emp.value, float(rate.sum()),
-                       emp.std_error))
+    mean_count = _zscore("poisson/mean-count-mc", emp.value, float(rate.sum()),
+                         emp.std_error)
 
     def theta_closed():
         basis = fk.FockBasis(grid.n_cells, 0, cfg.truncation)
-        worst = 0.0
-        for n in range(1, min(3, cfg.truncation // 2) + 1):
-            boxes = [[j % grid.n_cells] for j in range(n)]
-            th = fk.theta(basis, profile, boxes)
-            expect = np.prod([rate[list(b)].sum() for b in boxes]) / math.factorial(n)
-            worst = max(worst, abs(th - expect))
+        worst = max((poisson_theta_gap(basis, profile, [[j % grid.n_cells] for j in range(n)])
+                     for n in range(1, min(3, cfg.truncation // 2) + 1)), default=0.0)
         return _residual("poisson/theta-closed-form", worst, 1e-10)
-    out.append(_guard("poisson/theta-closed-form", theta_closed))
-    return out
+    return [mean_count, _guard("poisson/theta-closed-form", theta_closed)]
 
 
-def run_battery(cfg: BatterySettings) -> list[CheckResult]:
-    """Run every identity check at the configured desk scale."""
+def run_battery(cfg: ExperimentConfig) -> list[CheckResult]:
+    """Run every identity check at the scale `cfg` sets: `orders` (else
+    `max_order`) bounds the moment order, and the models are `models`,
+    else `model`, else DEFAULT_MODELS, on `cfg.grid()`."""
     rng = np.random.default_rng(cfg.seed)
-    grid = kn.Grid.regular(*cfg.window, cfg.cells)
-    models = [_resolve_model(entry, grid) for entry in cfg.models]
+    grid = cfg.grid()
+    entries = (cfg.models if cfg.models is not None
+               else [cfg.model] if cfg.model is not None else DEFAULT_MODELS)
+    models = [kn.model_entry(entry, grid) for entry in entries]
+    max_order = max(cfg.orders) if cfg.orders else cfg.max_order
     results = _matfun_checks(rng)
     for tag, model in models:
-        results.extend(_model_checks(tag, model, cfg, rng))
+        results.extend(_model_checks(tag, model, cfg, max_order, rng))
     results.extend(_poisson_checks(cfg, rng))
     return results

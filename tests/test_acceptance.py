@@ -5,7 +5,6 @@ Each test prints one PASS/FAIL line (visible with ``pytest -s`` or
 where one is stated.  Run with ``pytest tests/test_acceptance.py -v``.
 """
 
-import math
 import time
 
 import numpy as np
@@ -14,7 +13,8 @@ import pytest
 from haflab import fock as fk
 from haflab import kernels as kn
 from haflab import sampling as sp
-from haflab.matfun import alpha_det, hafnian_dp, hafnian_enum, permanent
+from haflab import verify as vf
+from haflab.matfun import hafnian_dp
 
 SMALL_PARAMS = {
     "proper-fourier": {"n_freq": 1},
@@ -45,9 +45,7 @@ def test_criterion_01_hafnian_oracle_equivalence():
     for k in range(200):
         dim = int(rng.choice([4, 6, 8, 10, 12]))
         c = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        c = (c + c.T) / 2
-        a, b = hafnian_enum(c), hafnian_dp(c)
-        worst = max(worst, abs(a - b) / abs(b))
+        worst = max(worst, vf.hafnian_gap((c + c.T) / 2))
     elapsed = time.perf_counter() - start
     gate(1, worst <= 1e-10 and elapsed <= 60.0,
          f"200 matrices, worst relative gap {worst:.2e}, {elapsed:.1f}s")
@@ -59,9 +57,7 @@ def test_criterion_02_matrix_function_specializations():
     for k in range(50):
         n = int(rng.integers(2, 8))
         b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        worst = max(worst,
-                    abs(alpha_det(b, 1.0) - permanent(b)) / abs(permanent(b)),
-                    abs(alpha_det(b, -1.0) - np.linalg.det(b)) / abs(np.linalg.det(b)))
+        worst = max(worst, *vf.alpha_det_gaps(b))
     gate(2, worst <= 1e-10, f"50 matrices, worst relative gap {worst:.2e}")
 
 
@@ -70,15 +66,9 @@ def test_criterion_03_permanental_embeddings():
     worst = 0.0
     for n in range(1, 6):
         kern = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        big = np.zeros((2 * n, 2 * n), dtype=complex)
-        big[0::2, 1::2] = kern
-        big[1::2, 0::2] = kern.T
-        worst = max(worst, abs(hafnian_dp(big) - permanent(kern)) / abs(permanent(kern)))
+        worst = max(worst, vf.permanental_embedding_gap(kern))
         sym = rng.standard_normal((n, n))
-        sym = (sym + sym.T) / 2
-        det2 = alpha_det(sym, 2.0)
-        worst = max(worst, abs(hafnian_dp(np.kron(sym, np.ones((2, 2)))) - det2)
-                    / abs(det2))
+        worst = max(worst, vf.two_permanental_gap((sym + sym.T) / 2))
     gate(3, worst <= 1e-10, f"n <= 5 embeddings, worst relative gap {worst:.2e}")
 
 
@@ -106,10 +96,7 @@ def test_criterion_05_fock_hafnian_exact_identity():
     for name, model in small_models().items():
         for n in (1, 2, 3):
             basis = fk.FockBasis(4, model.feature_dim, 2 * n)
-            boxes = boxes_by_order[n]
-            th = fk.theta(basis, model, boxes)
-            quad = sp.quadrature_haf_moment(model, boxes).value
-            worst = max(worst, abs(math.factorial(n) * th - quad) / abs(quad))
+            worst = max(worst, vf.theta_gap(basis, model, boxes_by_order[n]))
     elapsed = time.perf_counter() - start
     gate(5, worst <= 1e-9 and elapsed <= 120.0,
          f"M=4, d<=2, N=2n, worst relative gap {worst:.2e}, {elapsed:.0f}s")
@@ -119,14 +106,10 @@ def test_criterion_06_poisson_closed_form():
     grid = kn.Grid.regular(0.0, 1.0, 4)
     lam = np.array([1.0, 0.5 + 0.5j, -0.75j, 0.3 - 0.2j])
     profile = kn.IntensityProfile(grid, lam)
-    rate = np.abs(lam) ** 2 * grid.volumes
     basis = fk.FockBasis(4, 0, 6)
     worst = 0.0
     for boxes in ([[0, 1, 2, 3]], [[0, 1], [1, 2]], [[0], [1, 2], [2, 3]]):
-        n = len(boxes)
-        th = fk.theta(basis, profile, boxes)
-        closed = np.prod([rate[list(b)].sum() for b in boxes]) / math.factorial(n)
-        worst = max(worst, abs(th - closed))
+        worst = max(worst, vf.poisson_theta_gap(basis, profile, boxes))
     gate(6, worst <= 1e-10, f"n <= 3 products, worst gap {worst:.2e}")
 
 
@@ -139,11 +122,8 @@ def test_criterion_07_commutation_and_hermiticity():
             size1, size2 = rng.integers(1, 4, size=2)
             b1 = list(rng.choice(4, size=size1, replace=False))
             b2 = list(rng.choice(4, size=size2, replace=False))
-            r1 = fk.rho(basis, model, b1)
-            r2 = fk.rho(basis, model, b2)
-            worst_comm = max(worst_comm,
-                             fk.max_abs_on_domain(fk.commutator(r1, r2), 4))
-            worst_herm = max(worst_herm, fk.hermiticity_defect(r1, 2))
+            comm, herm = vf.rho_defects(basis, model, b1, b2)
+            worst_comm, worst_herm = max(worst_comm, comm), max(worst_herm, herm)
     gate(7, worst_comm <= 1e-10 and worst_herm <= 1e-13,
          f"30 box pairs, commutator {worst_comm:.2e}, hermiticity {worst_herm:.2e}")
 
@@ -156,15 +136,8 @@ def test_criterion_08_quasifree_state_checks():
         for _ in range(5):
             hs = [rng.standard_normal(4) + 1j * rng.standard_normal(4)
                   for _ in range(4)]
-            worst_odd = max(worst_odd,
-                            abs(fk.quasifree_T(basis, model, hs[:1])),
-                            abs(fk.quasifree_T(basis, model, hs[:3])))
-            t2 = lambda a, b: fk.quasifree_T(basis, model, [a, b])
-            pairs = (t2(hs[0], hs[1]) * t2(hs[2], hs[3])
-                     + t2(hs[0], hs[2]) * t2(hs[1], hs[3])
-                     + t2(hs[0], hs[3]) * t2(hs[1], hs[2]))
-            worst_four = max(worst_four,
-                             abs(fk.quasifree_T(basis, model, hs) - pairs))
+            t1, t3, pairing = vf.quasifree_gaps(basis, model, hs)
+            worst_odd, worst_four = max(worst_odd, t1, t3), max(worst_four, pairing)
     gate(8, worst_odd <= 1e-10 and worst_four <= 1e-9,
          f"15 quadruples, odd orders {worst_odd:.2e}, pairing gap {worst_four:.2e}")
 
@@ -192,8 +165,6 @@ def test_criterion_10_growth_bound():
         basis = fk.FockBasis(4, model.feature_dim, 6)
         box = [0, 1, 2, 3]
         for n in (1, 2, 3):
-            value = math.factorial(n) * fk.theta(basis, model, [box] * n).real
-            bound = (2.0 * kn.intensity_integral(model, box)) ** n
-            worst = max(worst, value / bound)
+            worst = max(worst, vf.growth_ratio(basis, model, box, n))
     gate(10, worst <= 1.0 + 1e-12,
          f"n <= 3 repeated boxes, worst value/bound ratio {worst:.3f}")

@@ -310,6 +310,14 @@ def test_verify_unknown_config_key(tmp_path, capsys):
      "'lengthscale' must be finite and positive"),
     ({"models": [{"builtin": "alpha-beta-demo", "params": {"lengthscale": 1e400}}]},
      "'lengthscale' must be finite and positive"),
+    ({"seed": -1}, "'seed' must be at least 0, got -1"),
+    ({"mc_samples": -5}, "'mc_samples' must be at least 1, got -5"),
+    ({"mc_samples": 0}, "'mc_samples' must be at least 1, got 0"),
+    ({"max_order": -1}, "'max_order' must be at least 1, got -1"),
+    ({"max_order": 0}, "'max_order' must be at least 1, got 0"),
+    ({"orders": [-3]}, "each 'orders' entry must be at least 1, got -3"),
+    ({"orders": [2, 0]}, "each 'orders' entry must be at least 1, got 0"),
+    ({"replicates": -1}, "'replicates' must be at least 0, got -1"),
 ])
 def test_verify_malformed_config_exit_2(tmp_path, capsys, doc, message):
     cfg = tmp_path / "cfg.json"
@@ -318,6 +326,41 @@ def test_verify_malformed_config_exit_2(tmp_path, capsys, doc, message):
     assert code == 2
     assert out.err.startswith("error: ") and message in out.err
     assert len(out.err.splitlines()) == 1
+
+
+def test_verify_negative_seed_flag_exit_2(capsys):
+    code, out = run("verify", "--seed", "-1", capsys=capsys)
+    assert code == 2
+    assert out.err == "error: 'seed' must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize("doc, flags, message", [
+    ({"orders": [0]}, [], "each 'orders' entry must be at least 1, got 0"),
+    ({}, ["--seed", "-1"], "'seed' must be at least 0, got -1"),
+])
+def test_cox_sample_out_of_range_config_writes_nothing(tmp_path, capsys, doc,
+                                                      flags, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(doc, replicates=3, cells=2)))
+    out_dir = tmp_path / "run"
+    code, out = run("cox", "sample", "--config", str(cfg), "--out", str(out_dir),
+                    *flags, capsys=capsys)
+    assert code == 2
+    assert out.err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--reps", "0"], "--reps must be at least 1, got 0"),
+    (["--sizes", "a"], "--sizes must be comma-separated integers, got 'a'"),
+    (["--sizes", "4,-2"], "each --sizes entry must be at least 0, got -2"),
+    (["--seed", "-1"], "--seed must be at least 0, got -1"),
+])
+def test_bench_bad_input_exit_2(capsys, flags, message):
+    code, out = run("bench", *flags, capsys=capsys)
+    assert code == 2
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
 
 
 def test_bench_command(tmp_path, capsys):

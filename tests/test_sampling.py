@@ -133,33 +133,6 @@ def test_empirical_covariance_and_pseudo_covariance(name):
             assert entrywise_z(part(prod_pse), part(model.k2[a, b])) < 4
 
 
-def test_sample_field_direct_moments():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    b = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    g = sp.sample_field_direct(a, b, 5, size=100_000)
-    k1 = (a.T @ a.conj() + b.T @ b.conj()) / 2
-    k2 = (a.T @ a - b.T @ b) / 2
-    for (i, j) in [(0, 0), (1, 3)]:
-        assert entrywise_z((g[:, i] * np.conj(g[:, j])).real, k1[i, j].real) < 4
-        assert entrywise_z((g[:, i] * g[:, j]).real, k2[i, j].real) < 4
-
-
-def test_sample_field_direct_beta_zero_is_real_scaled():
-    a = np.array([[1.0, 2.0], [0.5, 0.25]])
-    g = sp.sample_field_direct(a, np.zeros_like(a), 3, size=50)
-    assert np.abs(g.imag).max() == 0.0
-
-
-def test_sample_field_direct_proper_when_equal():
-    rng = np.random.default_rng(12)
-    l = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    g = sp.sample_field_direct(l, l, 6, size=100_000)
-    prod = g[:, 0] * g[:, 1]
-    assert entrywise_z(prod.real, 0.0) < 4
-    assert entrywise_z(prod.imag, 0.0) < 4
-
-
 # ---------------------------------------------------------------------------
 # point patterns
 # ---------------------------------------------------------------------------
