@@ -95,6 +95,10 @@ class ExperimentConfig:
             if not (test(value) or (value is None and getattr(cls, name) is None)):
                 raise ConfigError(f"config field '{name}' must be {kind}")
         cfg = cls(**doc)
+        lo, hi = cfg.window
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ConfigError(f"config field 'window' must have finite ends with lo < hi, "
+                              f"got {[float(lo), float(hi)]}")
         _check_ranges(("'replicates'", cfg.replicates, 0), ("'seed'", cfg.seed, 0),
                       ("'mc_samples'", cfg.mc_samples, 1), ("'max_order'", cfg.max_order, 1),
                       ("each 'orders' entry", min(cfg.orders or [1]), 1))

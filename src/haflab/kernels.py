@@ -182,29 +182,46 @@ def from_alpha_beta(alpha, beta, grid: Grid) -> GaussianFieldModel:
     return field_model(grid, l1, l2, validate=False)
 
 
+def _interleaved(model: GaussianFieldModel) -> np.ndarray:
+    # Block kernel of all cells at once (rows 2m, 2m+1 belong to cell m),
+    # built once and cached read-only on the model: it is frozen and k1, k2
+    # are never written.  Every block_kernel is a gather from it.
+    cached = vars(model).get("_interleaved")
+    if cached is not None:
+        return cached
+    m_cells = model.grid.n_cells
+    out = np.empty((2 * m_cells, 2 * m_cells), dtype=complex)
+    out[0::2, 0::2] = model.k2
+    out[0::2, 1::2] = model.k1
+    out[1::2, 0::2] = model.k1.conj()
+    out[1::2, 1::2] = model.k2.conj()
+    out.flags.writeable = False
+    vars(model)["_interleaved"] = out
+    return out
+
+
+_PAIR = np.array([0, 1])
+
+
 def block_kernel(model: GaussianFieldModel, points) -> np.ndarray:
     """2n x 2n correlation kernel for a tuple of cell indices.
 
     Rows 2i, 2i+1 belong to point i; the (i, j) block is
     [[k2(xi,xj), k1(xi,xj)], [conj k1(xi,xj), conj k2(xi,xj)]].
     Global symmetry is exact because k1 is exactly Hermitian and k2
-    exactly symmetric.  Repeated indices are allowed.
+    exactly symmetric.  Repeated indices are allowed; the result is a
+    fresh writable array.
     """
-    pts = np.asarray(points, dtype=int)
+    pts = np.asarray(points)
     if pts.ndim != 1 or pts.size == 0:
         raise DimensionError("need a non-empty 1-D list of cell indices")
+    if pts.dtype.kind not in "iu":
+        raise DimensionError(f"cell indices must be integers, got dtype {pts.dtype}")
     m_cells = model.grid.n_cells
-    if np.any(pts < 0) or np.any(pts >= m_cells):
+    if pts.min() < 0 or pts.max() >= m_cells:
         raise DimensionError(f"cell index out of range 0..{m_cells - 1}")
-    k1 = model.k1[np.ix_(pts, pts)]
-    k2 = model.k2[np.ix_(pts, pts)]
-    n = pts.size
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[0::2, 0::2] = k2
-    out[0::2, 1::2] = k1
-    out[1::2, 0::2] = k1.conj()
-    out[1::2, 1::2] = k2.conj()
-    return out
+    idx = (2 * pts.astype(np.intp, copy=False)[:, None] + _PAIR).ravel()
+    return _interleaved(model)[idx[:, None], idx]
 
 
 def intensity_integral(model: GaussianFieldModel, cells) -> float:
@@ -293,10 +310,19 @@ def model_entry(entry: dict, grid: Grid) -> tuple[str, GaussianFieldModel]:
     """Resolve a config model entry, ``{"path": ...}`` or ``{"builtin":
     name, "params": {...}}`` on `grid`, to its name and model."""
     if "path" in entry:
-        return entry["path"], load_model(entry["path"])
+        model = load_model(entry["path"])
+        if (model.grid.n_cells != grid.n_cells or model.grid.lo[0] != grid.lo[0]
+                or model.grid.hi[0] != grid.hi[0]):
+            raise ConfigError(f"{entry['path']}: model grid {_describe(model.grid)} "
+                              f"differs from the config grid {_describe(grid)}")
+        return entry["path"], model
     if "builtin" in entry:
         return entry["builtin"], builtin_model(entry["builtin"], grid, entry.get("params"))
     raise ConfigError("model entry needs a 'builtin' name or a 'path'")
+
+
+def _describe(grid: Grid) -> str:
+    return f"[{float(grid.lo[0])!r}, {float(grid.hi[0])!r}] in {grid.n_cells} cells"
 
 
 def _param(params: dict, key: str, convert, default):

@@ -121,12 +121,21 @@ def sample_field(model: GaussianFieldModel, seed, size: int | None = None) -> np
 # ---------------------------------------------------------------------------
 
 
+def _poisson(rng: np.random.Generator, rate: np.ndarray, size=None) -> np.ndarray:
+    # numpy rejects a NaN rate and any rate above about 9.2e18 (inf included).
+    try:
+        return rng.poisson(rate, size=size)
+    except ValueError as exc:
+        raise CapacityError(f"largest Poisson rate {float(np.max(rate)):.6g} "
+                            f"cannot be sampled: {exc}") from exc
+
+
 def sample_poisson(profile: IntensityProfile, seed, size: int | None = None) -> np.ndarray:
     """Independent counts[m] ~ Poisson(|lam_m|^2 vol_m)."""
     rng = _as_rng(seed)
     rate = np.abs(profile.lam) ** 2 * profile.grid.volumes
     shape = rate.shape if size is None else (int(size), rate.size)
-    return rng.poisson(rate, size=shape)
+    return _poisson(rng, rate, shape)
 
 
 def sample_cox(model: GaussianFieldModel, seed, size: int | None = None) -> np.ndarray:
@@ -135,7 +144,7 @@ def sample_cox(model: GaussianFieldModel, seed, size: int | None = None) -> np.n
     rng = _as_rng(seed)
     g = sample_field(model, rng, size=size if size is not None else 1)
     rate = np.abs(g) ** 2 * model.grid.volumes[None, :]
-    counts = rng.poisson(rate)
+    counts = _poisson(rng, rate)
     return counts[0] if size is None else counts
 
 
@@ -176,6 +185,9 @@ def field_moment_mc(model: GaussianFieldModel, points, n_samples: int, seed,
 def _as_boxes(boxes, n_cells: int) -> list[tuple[int, ...]]:
     out = []
     for box in boxes:
+        for i in box:
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                raise DimensionError(f"cell index {i!r} is not an integer")
         idx = tuple(sorted(int(i) for i in box))
         if any(i < 0 or i >= n_cells for i in idx):
             raise DimensionError(f"cell index out of range 0..{n_cells - 1}")
@@ -215,11 +227,15 @@ def quadrature_haf_moment(model: GaussianFieldModel, boxes, *,
     n_tuples = int(np.prod([len(c) for c in cells]))
     if n_tuples > tuple_limit:
         raise CapacityError(f"{n_tuples} cell tuples exceed limit {tuple_limit}")
+    # Volume weight of every tuple, in product() order: the same
+    # left-to-right products np.prod forms, one outer product per box.
     vols = model.grid.volumes
+    weights = vols[list(cells[0])]
+    for box in cells[1:]:
+        weights = np.multiply.outer(weights, vols[list(box)])
     total = 0.0 + 0.0j
-    for combo in product(*cells):
-        pts = np.asarray(combo, dtype=int)
-        total += hafnian_dp(block_kernel(model, pts)) * np.prod(vols[pts])
+    for combo, weight in zip(product(*cells), weights.ravel()):
+        total += hafnian_dp(block_kernel(model, combo)) * weight
     label = "haf quadrature over " + "x".join(str(list(c)) for c in cells)
     return MomentReport(label, float(total.real), None, None)
 

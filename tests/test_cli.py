@@ -277,6 +277,45 @@ def test_verify_zero_model_config(tmp_path, capsys):
     assert code == 0, out.out
 
 
+@pytest.fixture()
+def three_cell_model(tmp_path):
+    path = tmp_path / "m3.json"
+    kn.save_model(path, kn.builtin_model("real-gauss", kn.Grid.regular(0.0, 1.0, 3)))
+    return str(path)
+
+
+@pytest.mark.parametrize("grid", [{"cells": 7, "window": [0, 5]}, {"cells": 7},
+                                  {"cells": 3, "window": [0, 2]}])
+@pytest.mark.parametrize("command", [["verify"], ["cox", "sample"]])
+def test_path_model_must_match_config_grid(tmp_path, capsys, three_cell_model,
+                                           grid, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(grid, model={"path": three_cell_model})))
+    out_dir = tmp_path / "run"
+    code, out = run(*command, "--config", str(cfg), "--out", str(out_dir),
+                    capsys=capsys)
+    assert code == 2 and out.out == ""
+    lo, hi = map(float, grid.get("window", [0, 1]))
+    assert out.err == (f"error: {three_cell_model}: model grid [0.0, 1.0] in 3 cells differs "
+                       f"from the config grid [{lo}, {hi}] in {grid['cells']} cells\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"window": [0, 1e20], "cells": 2},
+    {"window": [0, 1e20], "cells": 2, "profile": {"lambda": [[1.0, 0.0]] * 2}},
+])
+def test_cox_sample_oversized_rate_exit_2(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(doc, replicates=3)))
+    code, out = run("cox", "sample", "--config", str(cfg),
+                    "--out", str(tmp_path / "run"), capsys=capsys)
+    assert code == 2
+    assert out.err.startswith("error: largest Poisson rate ")
+    assert out.err.endswith(" cannot be sampled: lam value too large\n")
+    assert len(out.err.splitlines()) == 1
+
+
 def test_verify_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
@@ -289,7 +328,7 @@ def test_verify_unknown_config_key(tmp_path, capsys):
     ({"window": [0.0]}, "'window' must be a [lo, hi] pair"),
     ({"models": [1]}, "'models' must be a list of objects"),
     ({"models": [{"foo": 1}]}, "needs a 'builtin' name or a 'path'"),
-    ({"window": [1.0, 0.0]}, "cell volumes must be positive"),
+    ({"window": [1.0, 0.0]}, "'window' must have finite ends with lo < hi, got [1.0, 0.0]"),
     ({"boxes": [[0], [1]]}, "verify chooses its own boxes"),
     ({"profile": {"lambda": [[1.0, 0.0]] * 3}}, "verify draws its own Poisson"),
     ({"models": [{"builtin": "proper-fourier", "params": {"n_freq": "x"}}]},
@@ -318,6 +357,10 @@ def test_verify_unknown_config_key(tmp_path, capsys):
     ({"orders": [-3]}, "each 'orders' entry must be at least 1, got -3"),
     ({"orders": [2, 0]}, "each 'orders' entry must be at least 1, got 0"),
     ({"replicates": -1}, "'replicates' must be at least 0, got -1"),
+    ({"window": [0, 1e400]}, "'window' must have finite ends with lo < hi, got [0.0, inf]"),
+    ({"window": [-1e400, 0]}, "'window' must have finite ends with lo < hi, got [-inf, 0.0]"),
+    ({"window": [2.0, 2.0]}, "'window' must have finite ends with lo < hi, got [2.0, 2.0]"),
+    ({"window": [0, 1e20], "cells": 2}, "largest Poisson rate"),
 ])
 def test_verify_malformed_config_exit_2(tmp_path, capsys, doc, message):
     cfg = tmp_path / "cfg.json"

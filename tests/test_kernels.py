@@ -178,6 +178,73 @@ def test_block_kernel_index_errors():
         kn.block_kernel(model, [7])
     with pytest.raises(DimensionError):
         kn.block_kernel(model, [])
+    with pytest.raises(DimensionError):
+        kn.block_kernel(model, [-1])
+    with pytest.raises(DimensionError, match="must be integers"):
+        kn.block_kernel(model, [1.7])
+    with pytest.raises(DimensionError, match="must be integers"):
+        kn.block_kernel(model, [0, 2.0])
+    with pytest.raises(DimensionError, match="must be integers"):
+        kn.block_kernel(model, [True])
+
+
+def four_slice_block(model, points):
+    # The block layout written out slice by slice from k1 and k2.
+    pts = list(points)
+    k1, k2 = model.k1[np.ix_(pts, pts)], model.k2[np.ix_(pts, pts)]
+    out = np.zeros((2 * len(pts), 2 * len(pts)), dtype=complex)
+    out[0::2, 0::2] = k2
+    out[0::2, 1::2] = k1
+    out[1::2, 0::2] = k1.conj()
+    out[1::2, 1::2] = k2.conj()
+    return out
+
+
+def random_models(seed):
+    rng = np.random.default_rng(seed)
+    grid = kn.Grid.regular(-0.5, 2.0, 7)
+    params = {"proper-fourier": {"n_freq": 4}, "real-gauss": {"n_centers": 3},
+              "alpha-beta-demo": {"d_half": 2}}
+    out = [kn.builtin_model(name, grid, dict(params[name],
+                                             lengthscale=float(rng.uniform(0.2, 1.5)),
+                                             scale=float(rng.uniform(0.5, 2.0))))
+           for name in kn.BUILTIN_NAMES]
+    out.append(kn.from_alpha_beta(rand_features(3, 7, seed), rand_features(3, 7, seed + 1),
+                                  grid))
+    return out
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_block_kernel_matches_four_slice_reference_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    for model in random_models(seed):
+        m = model.grid.n_cells
+        cases = [[int(rng.integers(m))], [3, 3], [6, 0, 6, 2],
+                 rng.integers(m, size=5).tolist(), tuple(range(m))]
+        for pts in cases:
+            block = kn.block_kernel(model, pts)
+            assert block.dtype == complex and block.shape == (2 * len(pts),) * 2
+            assert np.array_equal(block, four_slice_block(model, pts))
+        assert np.array_equal(kn.block_kernel(model, np.array([4, 1], dtype=np.uint8)),
+                              four_slice_block(model, [4, 1]))
+    # 2 * 150 does not fit in uint8
+    wide = kn.builtin_model("real-gauss", kn.Grid.regular(0.0, 1.0, 200))
+    assert np.array_equal(kn.block_kernel(wide, np.array([150, 3], dtype=np.uint8)),
+                          four_slice_block(wide, [150, 3]))
+
+
+def test_interleaved_kernel_is_cached_read_only_and_blocks_are_fresh():
+    model = kn.builtin_model("alpha-beta-demo", GRID)
+    full = kn._interleaved(model)
+    assert kn._interleaved(model) is full
+    assert not full.flags.writeable
+    with pytest.raises(ValueError):
+        full[0, 0] = 1.0
+    assert np.array_equal(full, four_slice_block(model, range(GRID.n_cells)))
+    block = kn.block_kernel(model, [1, 3])
+    assert block.flags.writeable and not np.shares_memory(block, full)
+    block[:] = 0.0
+    assert np.array_equal(kn.block_kernel(model, [1, 3]), four_slice_block(model, [1, 3]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from haflab import kernels as kn
 from haflab import sampling as sp
-from haflab.errors import CapacityError, ModelError, PreconditionError
+from haflab.errors import CapacityError, DimensionError, ModelError, PreconditionError
 from haflab.matfun import hafnian_dp
 
 GRID = kn.Grid.regular(0.0, 1.0, 5)
@@ -235,6 +237,57 @@ def test_quadrature_brute_force_oracle():
         total += (hafnian_dp(kn.block_kernel(model, pts)).real
                   * np.prod(GRID.volumes[pts]))
     assert sp.quadrature_haf_moment(model, boxes).value == pytest.approx(total)
+
+
+def uneven_grid(m_cells, seed):
+    rng = np.random.default_rng(seed)
+    edges = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, m_cells - 1)), [1.0]])
+    return kn.Grid(np.array([0.0]), np.array([1.0]),
+                   0.5 * (edges[:-1] + edges[1:])[:, None], np.diff(edges))
+
+
+def per_tuple_quadrature(model, boxes):
+    # One hafnian per tuple times np.prod of its cell volumes, in the
+    # order quadrature_haf_moment sums them (each box sorted).
+    vols = model.grid.volumes
+    total = 0.0 + 0.0j
+    for combo in product(*[sorted(b) for b in boxes]):
+        pts = np.asarray(combo)
+        total += hafnian_dp(kn.block_kernel(model, pts)) * np.prod(vols[pts])
+    return float(total.real)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_quadrature_matches_per_tuple_reference_bitwise(name):
+    grid = uneven_grid(8, 5)
+    assert np.ptp(grid.volumes) > 0.05
+    model = kn.builtin_model(name, grid)
+    disjoint = [[[5, 1, 3]],
+                [[0, 6], [7, 2, 4]],
+                [[1, 0], [5], [7, 3, 2]],
+                [[7, 0], [2, 1], [4, 3], [6, 5]]]
+    for boxes in disjoint:
+        rep = sp.quadrature_haf_moment(model, boxes)
+        assert rep.value == per_tuple_quadrature(model, boxes)
+    repeats = [[[0, 3], [3, 1]],
+               [[4, 6], [4, 6], [6]],
+               [[2, 5, 7]] * 4,
+               [[1, 2], [2, 3], [3, 1], [1]]]
+    for boxes in repeats:
+        rep = sp.quadrature_haf_moment(model, boxes, allow_repeats=True)
+        assert rep.value == per_tuple_quadrature(model, boxes)
+
+
+def test_non_integer_cell_indices_are_rejected():
+    model = MODELS["real-gauss"]
+    for boxes in ([[0.5], [2.9]], [[1.0]], [[0, "1"]], [[True]]):
+        with pytest.raises(DimensionError, match="is not an integer"):
+            sp.quadrature_haf_moment(model, boxes)
+        with pytest.raises(DimensionError, match="is not an integer"):
+            sp.empirical_product_moment(np.ones((4, 5), dtype=int), boxes)
+    # numpy integers are integers
+    rep = sp.quadrature_haf_moment(model, [np.array([0, 2]), [np.int64(1)]])
+    assert rep.value == sp.quadrature_haf_moment(model, [[0, 2], [1]]).value
 
 
 def test_quadrature_preconditions():
