@@ -128,12 +128,8 @@ class ExperimentConfig:
 
     def disjoint_boxes(self, n_cells: int) -> list[list[int]]:
         if self.boxes is not None:
-            boxes = [sorted(int(i) for i in b) for b in self.boxes]
-            seen: set[int] = set()
-            for b in boxes:
-                if seen & set(b):
-                    raise ConfigError("config boxes must be pairwise disjoint")
-                seen |= set(b)
+            boxes = [kn.cell_set(b, n_cells).tolist() for b in self.boxes]
+            kn.check_disjoint(boxes)
             return boxes
         return [[i for i in range(n_cells) if i % 2 == 0],
                 [i for i in range(n_cells) if i % 2 == 1]]
@@ -216,6 +212,7 @@ def cmd_sample(args, kind: str) -> int:
         m_cells = model.grid.n_cells
         sampler = sp.sample_cox if kind == "cox" else sp.sample_field
         draw = lambda rng: sampler(model, rng)
+    boxes = cfg.disjoint_boxes(m_cells)
     os.makedirs(cfg.out, exist_ok=True)
 
     name, header, template, dtype = _DUMPS[kind]
@@ -229,7 +226,6 @@ def cmd_sample(args, kind: str) -> int:
             fh.write(_csv_lines(template, start, rows[start:stop]))
 
     if kind == "cox":
-        boxes = cfg.disjoint_boxes(m_cells)
         per_box = []
         reports = []
         for box in boxes:

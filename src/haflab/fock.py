@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import CapacityError, DimensionError, PreconditionError
-from .kernels import GaussianFieldModel, IntensityProfile
+from .kernels import GaussianFieldModel, IntensityProfile, cell_set
 
 
 def _occupations(n_modes: int, max_total: int):
@@ -209,9 +209,7 @@ def _ladder_apply(basis: FockBasis, g, f, c, vec: np.ndarray) -> np.ndarray:
 
 def neutral(basis: FockBasis, cells) -> FockOperator:
     """Diagonal operator counting total occupation in the given grid modes."""
-    idx = sorted({int(c) for c in cells})
-    if any(c < 0 or c >= basis.n_grid for c in idx):
-        raise DimensionError(f"cells must be grid modes 0..{basis.n_grid - 1}")
+    idx = cell_set(cells, basis.n_grid)
     diag = basis.occupations[:, idx].sum(axis=1).astype(complex)
     return FockOperator(basis, sparse.diags(diag, format="csr", dtype=complex))
 
@@ -304,11 +302,8 @@ def _rho_apply(basis: FockBasis, source, cells, vec: np.ndarray) -> np.ndarray:
 def rho(basis: FockBasis, source, cells) -> FockOperator:
     """Particle density of a cell set: sum_m vol_m A+(x_m) A-(x_m)."""
     grid = source.grid
-    idx = sorted({int(c) for c in cells})
-    if any(c < 0 or c >= grid.n_cells for c in idx):
-        raise DimensionError(f"cells must be in 0..{grid.n_cells - 1}")
     out = zero(basis)
-    for m in idx:
+    for m in cell_set(cells, grid.n_cells).tolist():
         up, down = ladder_pair(basis, source, m)
         out = out + float(grid.volumes[m]) * (up @ down)
     return out
@@ -320,14 +315,7 @@ def rho(basis: FockBasis, source, cells) -> FockOperator:
 
 
 def _as_cellsets(source, boxes) -> list[frozenset]:
-    n_cells = source.grid.n_cells
-    out = []
-    for box in boxes:
-        cells = frozenset(int(c) for c in box)
-        if any(c < 0 or c >= n_cells for c in cells):
-            raise DimensionError(f"cells must be in 0..{n_cells - 1}")
-        out.append(cells)
-    return out
+    return [frozenset(cell_set(box, source.grid.n_cells).tolist()) for box in boxes]
 
 
 def _wick(basis: FockBasis, source, boxes, max_order: int, base, rho_step):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ModelError
+from .errors import ConfigError, DimensionError, ModelError, PreconditionError
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,6 +200,40 @@ def _interleaved(model: GaussianFieldModel) -> np.ndarray:
     return out
 
 
+def cell_indices(cells, n_cells: int) -> np.ndarray:
+    """Cell indices as an ``intp`` array, in order and with repeats kept.
+
+    The one rule every layer reads: `cells` is a flat collection (list,
+    tuple, array, range, set) of Python or numpy integers in
+    ``0..n_cells-1``, possibly empty.  A float, bool or string index, or
+    one out of range, raises `DimensionError`; none is truncated or wrapped.
+    """
+    # Checked one by one in Python: numpy would turn a bool beside an int
+    # into that int, and on a few indices its reductions cost more.
+    items = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
+    for c in items:
+        if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+            raise DimensionError(f"cell indices must be integers: {c!r} is not an integer")
+        if not 0 <= c < n_cells:
+            raise DimensionError(f"cell index {c} is out of range 0..{n_cells - 1}")
+    return np.array(items, dtype=np.intp)
+
+
+def cell_set(cells, n_cells: int) -> np.ndarray:
+    """`cell_indices` as a set: sorted, each cell once."""
+    # Not np.unique: on numpy 2.4 its first call raises peak memory by 1.7 MB.
+    return np.array(sorted(set(cell_indices(cells, n_cells).tolist())), dtype=np.intp)
+
+
+def check_disjoint(cell_sets) -> None:
+    """Raise `PreconditionError` if two of the cell sets share a cell."""
+    owner: dict[int, int] = {}
+    for j, cells in enumerate(cell_sets):
+        for c in cells:
+            if owner.setdefault(c, j) != j:
+                raise PreconditionError(f"boxes {owner[c]} and {j} overlap")
+
+
 _PAIR = np.array([0, 1])
 
 
@@ -212,23 +246,16 @@ def block_kernel(model: GaussianFieldModel, points) -> np.ndarray:
     exactly symmetric.  Repeated indices are allowed; the result is a
     fresh writable array.
     """
-    pts = np.asarray(points)
-    if pts.ndim != 1 or pts.size == 0:
-        raise DimensionError("need a non-empty 1-D list of cell indices")
-    if pts.dtype.kind not in "iu":
-        raise DimensionError(f"cell indices must be integers, got dtype {pts.dtype}")
-    m_cells = model.grid.n_cells
-    if pts.min() < 0 or pts.max() >= m_cells:
-        raise DimensionError(f"cell index out of range 0..{m_cells - 1}")
-    idx = (2 * pts.astype(np.intp, copy=False)[:, None] + _PAIR).ravel()
+    pts = cell_indices(points, model.grid.n_cells)
+    if pts.size == 0:
+        raise DimensionError("need at least one cell index")
+    idx = (2 * pts[:, None] + _PAIR).ravel()
     return _interleaved(model)[idx[:, None], idx]
 
 
 def intensity_integral(model: GaussianFieldModel, cells) -> float:
     """Quadrature of the squared feature norm over a cell set."""
-    idx = np.asarray(sorted(cells), dtype=int)
-    if idx.size == 0:
-        return 0.0
+    idx = cell_set(cells, model.grid.n_cells)
     norms = np.sum(np.abs(model.l1[:, idx]) ** 2, axis=0)
     return float(np.dot(model.grid.volumes[idx], norms))
 

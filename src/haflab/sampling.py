@@ -19,8 +19,9 @@ from itertools import product
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, ModelError, PreconditionError
-from .kernels import GaussianFieldModel, IntensityProfile, block_kernel
+from .errors import CapacityError, ModelError, PreconditionError
+from .kernels import (GaussianFieldModel, IntensityProfile, block_kernel, cell_indices,
+                      cell_set, check_disjoint)
 from .matfun import hafnian_dp
 
 
@@ -150,11 +151,8 @@ def sample_cox(model: GaussianFieldModel, seed, size: int | None = None) -> np.n
 
 def box_counts(patterns: np.ndarray, box) -> np.ndarray:
     """Total count inside a cell set, per pattern."""
-    idx = np.asarray(sorted(box), dtype=int)
     pats = np.atleast_2d(np.asarray(patterns))
-    if idx.size == 0:
-        return np.zeros(pats.shape[0], dtype=pats.dtype)
-    return pats[:, idx].sum(axis=1)
+    return pats[:, cell_set(box, pats.shape[1])].sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +163,7 @@ def box_counts(patterns: np.ndarray, box) -> np.ndarray:
 def field_moment_mc(model: GaussianFieldModel, points, n_samples: int, seed,
                     batches: int = 100) -> MomentReport:
     """Monte Carlo mean of prod_i |G(x_{m_i})|^2 over the given points."""
-    pts = np.asarray(points, dtype=int)
+    pts = cell_indices(points, model.grid.n_cells)
     if pts.size < 1 or pts.size > 4:
         raise PreconditionError("between 1 and 4 points (estimator variance grows fast)")
     rng = _as_rng(seed)
@@ -182,28 +180,6 @@ def field_moment_mc(model: GaussianFieldModel, points, n_samples: int, seed,
     return MomentReport(label, value, se, n_samples)
 
 
-def _as_boxes(boxes, n_cells: int) -> list[tuple[int, ...]]:
-    out = []
-    for box in boxes:
-        for i in box:
-            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-                raise DimensionError(f"cell index {i!r} is not an integer")
-        idx = tuple(sorted(int(i) for i in box))
-        if any(i < 0 or i >= n_cells for i in idx):
-            raise DimensionError(f"cell index out of range 0..{n_cells - 1}")
-        if len(set(idx)) != len(idx):
-            raise DimensionError("duplicate cell inside one box")
-        out.append(idx)
-    return out
-
-
-def _check_disjoint(boxes: list[tuple[int, ...]]) -> None:
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            if set(boxes[i]) & set(boxes[j]):
-                raise PreconditionError(f"boxes {i} and {j} overlap")
-
-
 def quadrature_haf_moment(model: GaussianFieldModel, boxes, *,
                           allow_repeats: bool = False,
                           tuple_limit: int = 200_000,
@@ -218,25 +194,25 @@ def quadrature_haf_moment(model: GaussianFieldModel, boxes, *,
     overlapping or repeated boxes (used by factorial moments and the
     growth bound).
     """
-    cells = _as_boxes(boxes, model.grid.n_cells)
+    cells = [cell_set(box, model.grid.n_cells).tolist() for box in boxes]
     n = len(cells)
     if n < 1 or n > max_order:
         raise PreconditionError(f"between 1 and {max_order} boxes")
     if not allow_repeats:
-        _check_disjoint(cells)
+        check_disjoint(cells)
     n_tuples = int(np.prod([len(c) for c in cells]))
     if n_tuples > tuple_limit:
         raise CapacityError(f"{n_tuples} cell tuples exceed limit {tuple_limit}")
     # Volume weight of every tuple, in product() order: the same
     # left-to-right products np.prod forms, one outer product per box.
     vols = model.grid.volumes
-    weights = vols[list(cells[0])]
+    weights = vols[cells[0]]
     for box in cells[1:]:
-        weights = np.multiply.outer(weights, vols[list(box)])
+        weights = np.multiply.outer(weights, vols[box])
     total = 0.0 + 0.0j
     for combo, weight in zip(product(*cells), weights.ravel()):
         total += hafnian_dp(block_kernel(model, combo)) * weight
-    label = "haf quadrature over " + "x".join(str(list(c)) for c in cells)
+    label = "haf quadrature over " + "x".join(map(str, cells))
     return MomentReport(label, float(total.real), None, None)
 
 
@@ -245,13 +221,13 @@ def empirical_product_moment(patterns, boxes, batches: int = 100) -> MomentRepor
     pats = np.atleast_2d(np.asarray(patterns))
     if pats.size == 0 or pats.shape[0] == 0:
         raise PreconditionError("need at least one pattern")
-    cells = _as_boxes(boxes, pats.shape[1])
-    _check_disjoint(cells)
+    cells = [cell_set(box, pats.shape[1]).tolist() for box in boxes]
+    check_disjoint(cells)
     values = np.ones(pats.shape[0], dtype=float)
     for box in cells:
         values *= box_counts(pats, box)
     mean, se = _batch_stats(values, batches)
-    label = "empirical prod gamma over " + "x".join(str(list(c)) for c in cells)
+    label = "empirical prod gamma over " + "x".join(map(str, cells))
     return MomentReport(label, mean, se, pats.shape[0])
 
 

@@ -20,7 +20,7 @@ from . import fock as fk
 from . import kernels as kn
 from . import matfun as mf
 from . import sampling as sp
-from .errors import CapacityError, HaflabError
+from .errors import CapacityError, ConfigError, HaflabError
 
 if TYPE_CHECKING:
     from .cli import ExperimentConfig
@@ -107,8 +107,8 @@ def poisson_theta_gap(basis: fk.FockBasis, profile: kn.IntensityProfile, boxes) 
     """Gap between theta of a deterministic intensity and its closed form,
     the product of the box rates over n!."""
     rate = np.abs(profile.lam) ** 2 * profile.grid.volumes
-    closed = np.prod([rate[list(b)].sum() for b in boxes]) / math.factorial(len(boxes))
-    return abs(fk.theta(basis, profile, boxes) - closed)
+    closed = np.prod([rate[kn.cell_set(b, rate.size)].sum() for b in boxes])
+    return abs(fk.theta(basis, profile, boxes) - closed / math.factorial(len(boxes)))
 
 
 def rho_defects(basis: fk.FockBasis, source, box1, box2) -> tuple[float, float]:
@@ -132,7 +132,10 @@ def quasifree_gaps(basis: fk.FockBasis, source, hs) -> tuple[float, float, float
 def growth_ratio(basis: fk.FockBasis, model: kn.GaussianFieldModel, box, n: int) -> float:
     """n! theta of `box` repeated n times over its bound (2 * intensity)^n."""
     grow = math.factorial(n) * fk.theta(basis, model, [box] * n).real
-    bound = (2.0 * kn.intensity_integral(model, box)) ** n
+    try:
+        bound = (2.0 * kn.intensity_integral(model, box)) ** n
+    except OverflowError as exc:
+        raise CapacityError(f"growth bound (2 * intensity)^{n} overflows a float") from exc
     return grow / bound if bound > 0 else (0.0 if grow <= 0 else math.inf)
 
 
@@ -266,12 +269,15 @@ def run_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     """Run every identity check at the scale `cfg` sets: `orders` (else
     `max_order`) bounds the moment order, and the models are `models`,
     else `model`, else DEFAULT_MODELS, on `cfg.grid()`."""
+    max_order = max(cfg.orders) if cfg.orders else cfg.max_order
+    if cfg.cells < max_order:   # the order-n theta check takes one cell per box
+        raise ConfigError(f"verify needs at least {max_order} cells for moment order "
+                          f"{max_order}, got 'cells' {cfg.cells}")
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid()
     entries = (cfg.models if cfg.models is not None
                else [cfg.model] if cfg.model is not None else DEFAULT_MODELS)
     models = [kn.model_entry(entry, grid) for entry in entries]
-    max_order = max(cfg.orders) if cfg.orders else cfg.max_order
     results = _matfun_checks(rng)
     for tag, model in models:
         results.extend(_model_checks(tag, model, cfg, max_order, rng))

@@ -361,6 +361,9 @@ def test_verify_unknown_config_key(tmp_path, capsys):
     ({"window": [-1e400, 0]}, "'window' must have finite ends with lo < hi, got [-inf, 0.0]"),
     ({"window": [2.0, 2.0]}, "'window' must have finite ends with lo < hi, got [2.0, 2.0]"),
     ({"window": [0, 1e20], "cells": 2}, "largest Poisson rate"),
+    ({"cells": 1}, "verify needs at least 2 cells for moment order 2, got 'cells' 1"),
+    ({"cells": 2, "max_order": 3},
+     "verify needs at least 3 cells for moment order 3, got 'cells' 2"),
 ])
 def test_verify_malformed_config_exit_2(tmp_path, capsys, doc, message):
     cfg = tmp_path / "cfg.json"
@@ -368,6 +371,22 @@ def test_verify_malformed_config_exit_2(tmp_path, capsys, doc, message):
     code, out = run("verify", "--config", str(cfg), capsys=capsys)
     assert code == 2
     assert out.err.startswith("error: ") and message in out.err
+    assert len(out.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"window": [0, 1e150], "cells": 4},
+    {"window": [0, 1e308], "cells": 2},
+])
+def test_verify_huge_window_exit_2_without_traceback(tmp_path, capsys, doc):
+    # The growth bound (2 * intensity)^n overflows a float here; numpy warns
+    # of overflow and invalid values in the field arithmetic on the way.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    with pytest.warns(RuntimeWarning):
+        code, out = run("verify", "--config", str(cfg), capsys=capsys)
+    assert code == 2
+    assert out.err.startswith("error: ")
     assert len(out.err.splitlines()) == 1
 
 
@@ -380,11 +399,14 @@ def test_verify_negative_seed_flag_exit_2(capsys):
 @pytest.mark.parametrize("doc, flags, message", [
     ({"orders": [0]}, [], "each 'orders' entry must be at least 1, got 0"),
     ({}, ["--seed", "-1"], "'seed' must be at least 0, got -1"),
+    ({"boxes": [[0], [7]]}, [], "cell index 7 is out of range 0..1"),
+    ({"boxes": [[0], [7]], "replicates": 0}, [], "cell index 7 is out of range 0..1"),
+    ({"boxes": [[0, 1], [1]]}, [], "boxes 0 and 1 overlap"),
 ])
 def test_cox_sample_out_of_range_config_writes_nothing(tmp_path, capsys, doc,
                                                       flags, message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(dict(doc, replicates=3, cells=2)))
+    cfg.write_text(json.dumps(dict({"replicates": 3, "cells": 2}, **doc)))
     out_dir = tmp_path / "run"
     code, out = run("cox", "sample", "--config", str(cfg), "--out", str(out_dir),
                     *flags, capsys=capsys)

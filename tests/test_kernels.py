@@ -327,3 +327,73 @@ def test_model_file_rejects_malformed(tmp_path):
     path.write_text("{}")
     with pytest.raises(ModelError):
         kn.load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# the cell-index rule, as every layer reads it
+# ---------------------------------------------------------------------------
+
+
+def _index_entry_points():
+    from haflab import cli
+    from haflab import fock as fk
+    from haflab import sampling as sp
+
+    grid = kn.Grid.regular(0.0, 1.0, 3)
+    model = kn.builtin_model("real-gauss", grid, {"n_centers": 1})
+    basis = fk.FockBasis(3, 1, 2)
+    pats = np.arange(12).reshape(4, 3)
+    dense = lambda op: op.mat.toarray()
+    # name -> (call on one box or point tuple, whether it is a cell set)
+    return {
+        "cell_indices": (lambda c: kn.cell_indices(c, 3), False),
+        "cell_set": (lambda c: kn.cell_set(c, 3), True),
+        "block_kernel": (lambda c: kn.block_kernel(model, c), False),
+        "field_moment_mc": (lambda c: sp.field_moment_mc(model, c, 20, 0).value, False),
+        "intensity_integral": (lambda c: kn.intensity_integral(model, c), True),
+        "box_counts": (lambda c: sp.box_counts(pats, c), True),
+        "empirical_factorial_moment":
+            (lambda c: sp.empirical_factorial_moment(pats, c, 2).value, True),
+        "empirical_product_moment":
+            (lambda c: sp.empirical_product_moment(pats, [c]).value, True),
+        "quadrature_haf_moment": (lambda c: sp.quadrature_haf_moment(model, [c]).value, True),
+        "disjoint_boxes": (lambda c: cli.ExperimentConfig(boxes=[c]).disjoint_boxes(3), True),
+        "neutral": (lambda c: dense(fk.neutral(basis, c)), True),
+        "rho": (lambda c: dense(fk.rho(basis, model, c)), True),
+        "wick": (lambda c: dense(fk.wick(basis, model, [c])), True),
+        "theta": (lambda c: fk.theta(basis, model, [c]), True),
+        "moment": (lambda c: fk.moment(basis, model, [c]), True),
+    }
+
+
+INDEX_ENTRY_POINTS = _index_entry_points()
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_ENTRY_POINTS))
+def test_every_layer_reads_one_cell_index_rule(name):
+    call, is_set = INDEX_ENTRY_POINTS[name]
+    for bad in (0.7, True, "1", -1, 3, np.float64(2.0), np.bool_(False)):
+        with pytest.raises(DimensionError):
+            call([0, bad])
+    reference = call([0, 2])
+    for same in ([np.int64(0), np.uint8(2)], np.array([0, 2]), np.array([0, 2], np.uint8),
+                 (0, 2), range(0, 3, 2), {0, 2}, frozenset({0, 2})):
+        assert np.array_equal(call(same), reference)
+    if is_set:
+        assert np.array_equal(call([1, 1]), call([1]))
+        assert np.array_equal(call([2, 0, 2]), reference)
+        call([])
+        call(set())
+
+
+def test_cell_indices_keep_order_and_repeats():
+    idx = kn.cell_indices([2, 0, 2], 3)
+    assert idx.dtype == np.intp and idx.tolist() == [2, 0, 2]
+    assert kn.cell_set([2, 0, 2], 3).tolist() == [0, 2]
+    assert kn.cell_indices([], 3).dtype == np.intp
+    with pytest.raises(DimensionError, match="cell index 3 is out of range 0..2"):
+        kn.cell_indices([0, 3], 3)
+    with pytest.raises(DimensionError, match="out of range"):
+        kn.cell_indices([2 ** 70], 3)
+    with pytest.raises(DimensionError, match="is not an integer"):
+        kn.cell_indices([[0, 1]], 3)
