@@ -201,9 +201,17 @@ def cmd_sample(args, kind: str) -> int:
     cfg = ExperimentConfig.load(args.config, {"seed": args.seed, "out": args.out})
     if cfg.out is None:
         raise ConfigError("an output directory is required (--out or config 'out')")
+    if cfg.models is not None:
+        raise ConfigError(f"{kind} sample draws one model; name it in 'model' "
+                          "and remove 'models' from the config")
     # a deterministic intensity profile turns `cox sample` into plain
     # Poisson sampling; `field sample` always needs a model
-    if kind == "cox" and cfg.profile is not None:
+    if kind == "field" and cfg.profile is not None:
+        raise ConfigError("field sample draws a Gaussian field; remove 'profile' from the config")
+    if cfg.profile is not None and cfg.model is not None:
+        raise ConfigError("cox sample draws from 'profile' or from 'model', not both; "
+                          "remove one from the config")
+    if cfg.profile is not None:
         profile = cfg.resolve_profile()
         m_cells = profile.grid.n_cells
         draw = lambda rng: sp.sample_poisson(profile, rng)
@@ -346,20 +354,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Overflow or an invalid value (as on a huge window) stops the command
+    # with one error line instead of numpy warnings and garbage numbers.
     try:
-        if args.command == "matfun":
-            return cmd_matfun(args)
-        if args.command in ("field", "cox"):
-            return cmd_sample(args, args.command)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "bench":
-            return cmd_bench(args)
-        raise ConfigError(f"unknown command {args.command}")
-    except HaflabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            if args.command == "matfun":
+                return cmd_matfun(args)
+            if args.command in ("field", "cox"):
+                return cmd_sample(args, args.command)
+            if args.command == "verify":
+                return cmd_verify(args)
+            if args.command == "bench":
+                return cmd_bench(args)
+            raise ConfigError(f"unknown command {args.command}")
+    except (HaflabError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

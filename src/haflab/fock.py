@@ -22,7 +22,12 @@ import numpy as np
 from scipy import sparse
 
 from .errors import CapacityError, DimensionError, PreconditionError
-from .kernels import GaussianFieldModel, IntensityProfile, cell_set
+from .kernels import GaussianFieldModel, IntensityProfile, cell_indices, cell_set
+
+#: Most boxes of a Wick polynomial, and the largest residual of either
+#: condition that `bogoliubov_check` passes.
+WICK_MAX_ORDER = 4
+BOGOLIUBOV_TOL = 1e-8
 
 
 def _occupations(n_modes: int, max_total: int):
@@ -214,98 +219,90 @@ def neutral(basis: FockBasis, cells) -> FockOperator:
     return FockOperator(basis, sparse.diags(diag, format="csr", dtype=complex))
 
 
-def _grid_embed(basis: FockBasis, m: int, coeff: complex) -> np.ndarray:
-    v = np.zeros(basis.n_modes, dtype=complex)
-    v[m] = coeff
-    return v
-
-
-def _feature_embed(basis: FockBasis, vec) -> np.ndarray:
-    v = np.zeros(basis.n_modes, dtype=complex)
-    v[basis.n_grid:] = vec
-    return v
-
-
-def _check_model(basis: FockBasis, model: GaussianFieldModel) -> None:
-    if basis.n_grid != model.grid.n_cells or basis.n_feature != model.feature_dim:
-        raise DimensionError(
-            f"basis has ({basis.n_grid} grid, {basis.n_feature} feature) modes; "
-            f"model needs ({model.grid.n_cells}, {model.feature_dim})")
-
-
-def _check_profile(basis: FockBasis, profile: IntensityProfile) -> None:
-    if basis.n_grid != profile.grid.n_cells or basis.n_feature != 0:
-        raise DimensionError("intensity profiles act on a grid-only basis")
-
-
 # ---------------------------------------------------------------------------
-# Field operators on the feature modes
+# The ladder table: the dressed pair A+-(x_m) at every cell, whose quadratic
+# quadrature is the particle density
 # ---------------------------------------------------------------------------
 
 
-def phi(basis: FockBasis, model: GaussianFieldModel, m: int) -> FockOperator:
-    """Field operator at cell m: create(l1 column) + annihilate(l2 column)."""
-    _check_model(basis, model)
-    return (create(basis, _feature_embed(basis, model.l1[:, m]))
-            + annihilate(basis, _feature_embed(basis, model.l2[:, m])))
+def _ladders(basis: FockBasis, source):
+    """Ladder table (up, down) of a field model or an intensity profile.
 
-
-def psi(basis: FockBasis, model: GaussianFieldModel, m: int) -> FockOperator:
-    """Adjoint field operator: create(conj l2) + annihilate(conj l1)."""
-    _check_model(basis, model)
-    return (create(basis, _feature_embed(basis, model.l2[:, m].conj()))
-            + annihilate(basis, _feature_embed(basis, model.l1[:, m].conj())))
-
-
-# ---------------------------------------------------------------------------
-# Dressed ladder pair whose quadratic quadrature is the particle density
-# ---------------------------------------------------------------------------
-
-
-def _ladder_coeffs(basis: FockBasis, source, m: int):
-    """(g, f, c) of A+ and of A- at cell m, each create(g) + annihilate(f) + c."""
+    Each half is a triple (g, f, c), g and f of shape (n_modes, M) and c of
+    shape (M,), with A(x_m) = create(g[:, m]) + annihilate(f[:, m]) + c[m]:
+    A+ = (e/sqrt(vol) + conj l2, conj l1, conj lam) and
+    A- = (l1, e/sqrt(vol) + l2, lam), e the grid modes.  A field model has
+    lam = 0; an intensity profile lives on a grid-only basis (l1 = l2 = 0).
+    """
+    grid = source.grid
     if isinstance(source, GaussianFieldModel):
-        _check_model(basis, source)
-        l1, l2 = _feature_embed(basis, source.l1[:, m]), _feature_embed(basis, source.l2[:, m])
-        lam = 0.0
+        l1, l2, lam = source.l1, source.l2, np.zeros(grid.n_cells)
     elif isinstance(source, IntensityProfile):
-        _check_profile(basis, source)
-        l1 = l2 = np.zeros(basis.n_modes, dtype=complex)
-        lam = source.lam[m]
+        l1 = l2 = np.zeros((0, grid.n_cells))
+        lam = source.lam
     else:
         raise DimensionError(f"unsupported source {type(source).__name__}")
-    grid = _grid_embed(basis, m, 1.0 / math.sqrt(source.grid.volumes[m]))
-    return (grid + l2.conj(), l1.conj(), np.conj(lam)), (l1, grid + l2, lam)
+    if (basis.n_grid, basis.n_feature) != (grid.n_cells, len(l1)):
+        raise DimensionError(
+            f"basis has ({basis.n_grid} grid, {basis.n_feature} feature) modes; "
+            f"source needs ({grid.n_cells}, {len(l1)})")
+    e, d1, d2 = np.zeros((3, basis.n_modes, grid.n_cells), dtype=complex)
+    e[:basis.n_grid] = np.diag(1.0 / np.sqrt(grid.volumes))
+    d1[basis.n_grid:], d2[basis.n_grid:] = l1, l2
+    return (e + d2.conj(), d1.conj(), lam.conj()), (d1, e + d2, lam)
 
 
-def ladder_pair(basis: FockBasis, source, m: int) -> tuple[FockOperator, FockOperator]:
-    """(A+, A-) at cell m for a field model or an intensity profile.
+def _at(ladders, m) -> list[tuple]:
+    """(g, f, c) of A+(x_m) and of A-(x_m), m read by the cell-index rule."""
+    (m,) = cell_indices([m], ladders[1][2].size)
+    return [tuple(v[..., m] for v in half) for half in ladders]
 
-    Field model: A+ = a+(e_m)/sqrt(vol) + create(conj l2) + annihilate(conj l1)
-    on feature modes; A- is its adjoint.  Intensity profile (grid-only
-    basis): the ladder pair shifted by the scalar intensity amplitude.
-    """
-    up, down = _ladder_coeffs(basis, source, m)
+
+def ladder_pair(basis: FockBasis, source, m) -> tuple[FockOperator, FockOperator]:
+    """(A+, A-) at cell m for a field model or an intensity profile."""
+    up, down = _at(_ladders(basis, source), m)
     return _ladder_op(basis, *up), _ladder_op(basis, *down)
 
 
-def _rho_apply(basis: FockBasis, source, cells, vec: np.ndarray) -> np.ndarray:
-    """rho(cells) vec as sum_m vol_m A+(x_m) (A-(x_m) vec), with no operator."""
-    out = np.zeros_like(vec)
-    for m in sorted(cells):
-        up, down = _ladder_coeffs(basis, source, m)
-        out += source.grid.volumes[m] * _ladder_apply(
-            basis, *up, _ladder_apply(basis, *down, vec))
-    return out
+def phi(basis: FockBasis, model: GaussianFieldModel, m) -> FockOperator:
+    """Field operator at cell m, create(l1 column) + annihilate(l2 column) on
+    the feature modes: A-(x_m) without its grid ladder."""
+    g, f, _ = _at(_ladders(basis, model), m)[1]
+    f[:basis.n_grid] = 0   # drops the grid ladder; the table is this call's own
+    return create(basis, g) + annihilate(basis, f)
+
+
+def psi(basis: FockBasis, model: GaussianFieldModel, m) -> FockOperator:
+    """Adjoint field operator, create(conj l2) + annihilate(conj l1):
+    A+(x_m) without its grid ladder."""
+    g, f, _ = _at(_ladders(basis, model), m)[0]
+    g[:basis.n_grid] = 0   # drops the grid ladder; the table is this call's own
+    return create(basis, g) + annihilate(basis, f)
+
+
+def _rho_apply(basis: FockBasis, source):
+    """The map (cells, vec) -> rho(cells) vec, as
+    sum_m vol_m A+(x_m) (A-(x_m) vec) with no operator, over one table."""
+    ladders, vols = _ladders(basis, source), source.grid.volumes
+
+    def apply(cells, vec: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(vec)
+        for m in sorted(cells):
+            up, down = _at(ladders, m)
+            out += vols[m] * _ladder_apply(basis, *up, _ladder_apply(basis, *down, vec))
+        return out
+
+    return apply
 
 
 def rho(basis: FockBasis, source, cells) -> FockOperator:
     """Particle density of a cell set: sum_m vol_m A+(x_m) A-(x_m)."""
     grid = source.grid
+    ladders = _ladders(basis, source)
     out = zero(basis)
     for m in cell_set(cells, grid.n_cells).tolist():
-        up, down = ladder_pair(basis, source, m)
-        out = out + float(grid.volumes[m]) * (up @ down)
+        up, down = _at(ladders, m)
+        out = out + float(grid.volumes[m]) * (_ladder_op(basis, *up) @ _ladder_op(basis, *down))
     return out
 
 
@@ -318,7 +315,7 @@ def _as_cellsets(source, boxes) -> list[frozenset]:
     return [frozenset(cell_set(box, source.grid.n_cells).tolist()) for box in boxes]
 
 
-def _wick(basis: FockBasis, source, boxes, max_order: int, base, rho_step):
+def _wick(basis: FockBasis, source, boxes, base, rho_step):
     """Normal-ordered product of densities over the boxes, applied to ``base``
     (the identity operator or the vacuum vector) through ``rho_step``.
 
@@ -328,8 +325,8 @@ def _wick(basis: FockBasis, source, boxes, max_order: int, base, rho_step):
     """
     cellsets = _as_cellsets(source, boxes)
     n = len(cellsets)
-    if n < 1 or n > max_order:
-        raise PreconditionError(f"between 1 and {max_order} boxes")
+    if n < 1 or n > WICK_MAX_ORDER:
+        raise PreconditionError(f"between 1 and {WICK_MAX_ORDER} boxes")
     if basis.truncation < 2 * n:
         raise CapacityError(
             f"truncation {basis.truncation} too small for order {n} (need >= {2 * n})")
@@ -347,20 +344,19 @@ def _wick(basis: FockBasis, source, boxes, max_order: int, base, rho_step):
     return build(tuple(cellsets))
 
 
-def wick(basis: FockBasis, source, boxes, *, max_order: int = 4) -> FockOperator:
+def wick(basis: FockBasis, source, boxes) -> FockOperator:
     """Normal-ordered product of particle densities over the given boxes."""
     rho_cached = functools.cache(lambda cells: rho(basis, source, cells))
-    return _wick(basis, source, boxes, max_order, identity(basis),
+    return _wick(basis, source, boxes, identity(basis),
                  lambda cells, op: rho_cached(cells) @ op)
 
 
-def theta(basis: FockBasis, source, boxes, *, max_order: int = 4) -> complex:
+def theta(basis: FockBasis, source, boxes) -> complex:
     """Order-n correlation measure of the box product: the vacuum
     expectation of the normal-ordered density product divided by n!,
     evaluated on the vacuum vector without building operators."""
     boxes = list(boxes)
-    vec = _wick(basis, source, boxes, max_order, basis.vacuum(),
-                lambda cells, v: _rho_apply(basis, source, cells, v))
+    vec = _wick(basis, source, boxes, basis.vacuum(), _rho_apply(basis, source))
     return complex(vec[0]) / math.factorial(len(boxes))
 
 
@@ -375,10 +371,11 @@ def moment(basis: FockBasis, source, boxes, order=None) -> complex:
     if basis.truncation < 2 * degree:
         raise CapacityError(
             f"truncation {basis.truncation} too small for degree {degree}")
+    apply = _rho_apply(basis, source)
     vec = basis.vacuum()
     for cells, k in zip(reversed(cellsets), reversed(mult)):
         for _ in range(k):
-            vec = _rho_apply(basis, source, cells, vec)
+            vec = apply(cells, vec)
     return complex(vec[0])
 
 
@@ -387,31 +384,20 @@ def moment(basis: FockBasis, source, boxes, order=None) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _b_coeffs(basis: FockBasis, source, h):
+def _b_coeffs(source, ladders, h):
     """(u, w, shift) with b_field(h) = create(u) + annihilate(w) + shift: the
-    ladder pair is linear in the cell, so the sum over cells is one of each."""
+    table is linear in the cell, so with vh = vol * h the sum over cells is
+    up . vh + down . conj(vh), one creation and one annihilation."""
     h = np.asarray(h, dtype=complex)
-    grid = source.grid
-    if h.shape != (grid.n_cells,):
+    if h.shape != (source.grid.n_cells,):
         raise DimensionError("test function must have one value per cell")
-    vol = grid.volumes
-    grid_u, grid_w = np.sqrt(vol) * h, np.sqrt(vol) * h.conj()
-    if isinstance(source, GaussianFieldModel):
-        _check_model(basis, source)
-        vh, vhc = vol * h, vol * h.conj()
-        u = np.concatenate([grid_u, source.l2.conj() @ vh + source.l1 @ vhc])
-        w = np.concatenate([grid_w, source.l1.conj() @ vh + source.l2 @ vhc])
-        return u, w, 0.0
-    if isinstance(source, IntensityProfile):
-        _check_profile(basis, source)
-        shift = np.sum(vol * (h * np.conj(source.lam) + h.conj() * source.lam))
-        return grid_u, grid_w, shift
-    raise DimensionError(f"unsupported source {type(source).__name__}")
+    vh = source.grid.volumes * h
+    return tuple(a @ vh + b @ vh.conj() for a, b in zip(*ladders))
 
 
 def b_field(basis: FockBasis, source, h) -> FockOperator:
     """Hermitian combination sum_m vol_m (h_m A+(x_m) + conj(h_m) A-(x_m))."""
-    return _ladder_op(basis, *_b_coeffs(basis, source, h))
+    return _ladder_op(basis, *_b_coeffs(source, _ladders(basis, source), h))
 
 
 def quasifree_T(basis: FockBasis, source, hs) -> complex:
@@ -427,7 +413,8 @@ def quasifree_T(basis: FockBasis, source, hs) -> complex:
         raise PreconditionError("need at least one test function")
     if basis.truncation < k:
         raise CapacityError(f"truncation {basis.truncation} too small for {k} factors")
-    coeffs = [_b_coeffs(basis, source, h) for h in funcs]
+    ladders = _ladders(basis, source)
+    coeffs = [_b_coeffs(source, ladders, h) for h in funcs]
     if k == 1:
         return complex(coeffs[0][2])
     vec = basis.vacuum()
@@ -468,8 +455,7 @@ class BogoliubovReport:
     t2_max_deviation: float | None   # closed form vs Fock evaluation
 
 
-def bogoliubov_check(k1_map, k2_map, *, tol: float = 1e-8, n_vectors: int = 4,
-                     seed: int = 0) -> BogoliubovReport:
+def bogoliubov_check(k1_map, k2_map) -> BogoliubovReport:
     """Check the two admissibility conditions on a dressed ladder pair
     A+(h) = a+(K2 h) + a-(K1 h), and when they hold compare the closed-form
     two-point function ((K1 + conj K2 conj) f, . h) against the vacuum
@@ -481,7 +467,7 @@ def bogoliubov_check(k1_map, k2_map, *, tol: float = 1e-8, n_vectors: int = 4,
     q, p = k1.shape
     res_sym = float(np.linalg.norm(k2.T @ k1 - k1.T @ k2, 2))
     res_ccr = float(np.linalg.norm(k2.conj().T @ k2 - k1.conj().T @ k1 - np.eye(p), 2))
-    passed = res_sym <= tol and res_ccr <= tol
+    passed = res_sym <= BOGOLIUBOV_TOL and res_ccr <= BOGOLIUBOV_TOL
     if not passed:
         return BogoliubovReport(res_sym, res_ccr, False, None)
 
@@ -497,9 +483,9 @@ def bogoliubov_check(k1_map, k2_map, *, tol: float = 1e-8, n_vectors: int = 4,
         uh = k1 @ h + np.conj(k2 @ h)
         return complex(np.vdot(uh, uf))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     vectors = [np.eye(p, dtype=complex)[j] for j in range(min(p, 2))]
-    for _ in range(n_vectors):
+    for _ in range(4):   # plus four fixed random test vectors
         vectors.append(rng.standard_normal(p) + 1j * rng.standard_normal(p))
     dev = 0.0
     for f in vectors:

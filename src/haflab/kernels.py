@@ -116,19 +116,18 @@ def _feature_pair(l1, l2) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def validate_features(l1, l2, *, tol: float | None = None) -> list[FeatureViolation]:
+def validate_features(l1, l2) -> list[FeatureViolation]:
     """Check the two admissibility conditions on a feature-map pair.
 
     Returns an empty list iff, for every pair of cells, the bilinear form
     ``sum_j l1[j,m] l2[j,m']`` is symmetric in (m, m') and the two Gram
-    matrices built from l1 and from l2 agree.  The default tolerance
-    scales with the squared feature norm.
+    matrices built from l1 and from l2 agree.  The tolerance scales with
+    the squared feature norm.
     """
     a, b = _feature_pair(l1, l2)
-    if tol is None:
-        peak = max(float(np.max(np.sum(np.abs(a) ** 2, axis=0), initial=0.0)),
-                   float(np.max(np.sum(np.abs(b) ** 2, axis=0), initial=0.0)))
-        tol = 1e-10 * (1.0 + peak)
+    peak = max(float(np.max(np.sum(np.abs(a) ** 2, axis=0), initial=0.0)),
+               float(np.max(np.sum(np.abs(b) ** 2, axis=0), initial=0.0)))
+    tol = 1e-10 * (1.0 + peak)
     cross = a.T @ b                 # bilinear, no conjugation
     gram1 = a.T @ a.conj()
     gram2 = b.T @ b.conj()

@@ -21,11 +21,9 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError, HaflabError
 
-#: Default size caps of the exponential algorithms.  They are bound into
-#: each function's ``max_dim`` default when the module loads, so rebinding
-#: these names changes nothing; pass ``max_dim`` to override one call.
+#: Size caps of the exponential algorithms.
 HAFNIAN_ENUM_MAX_DIM: Final = 16
-HAFNIAN_DP_MAX_DIM: Final = 24
+HAFNIAN_DP_MAX_DIM: Final = 24   # dp cap <= 62: subsets are int64 bitmasks
 PERMANENT_MAX_DIM: Final = 20
 ALPHA_DET_MAX_DIM: Final = 10
 
@@ -61,7 +59,7 @@ def _pair_sum(c: np.ndarray, remaining: tuple) -> complex:
     return acc
 
 
-def hafnian_enum(matrix, *, max_dim: int = HAFNIAN_ENUM_MAX_DIM) -> complex:
+def hafnian_enum(matrix) -> complex:
     """Hafnian by direct enumeration of all (2n-1)!! perfect pairings.
 
     Never reads diagonal entries.
@@ -69,7 +67,7 @@ def hafnian_enum(matrix, *, max_dim: int = HAFNIAN_ENUM_MAX_DIM) -> complex:
     c = _as_square(matrix)
     dim = c.shape[0]
     _check_even(dim)
-    _check_cap(dim, max_dim, "hafnian_enum")
+    _check_cap(dim, HAFNIAN_ENUM_MAX_DIM, "hafnian_enum")
     return _pair_sum(c, tuple(range(dim)))
 
 
@@ -123,7 +121,7 @@ def _dp_schedule(dim: int) -> tuple:
     return tuple(reversed(levels))
 
 
-def hafnian_dp(matrix, *, max_dim: int = HAFNIAN_DP_MAX_DIM) -> complex:
+def hafnian_dp(matrix) -> complex:
     """Hafnian by the subset recursion, evaluated one subset size at a time.
 
     haf(S) = sum over j in S of c[min(S), j] * haf(S minus {min(S), j}),
@@ -135,7 +133,7 @@ def hafnian_dp(matrix, *, max_dim: int = HAFNIAN_DP_MAX_DIM) -> complex:
     c = _as_square(matrix)
     dim = c.shape[0]
     _check_even(dim)
-    _check_cap(dim, min(max_dim, 62), "hafnian_dp")  # subsets are int64 bitmasks
+    _check_cap(dim, HAFNIAN_DP_MAX_DIM, "hafnian_dp")
     if dim == 0:
         return 1.0 + 0.0j
     (pairs, _), *levels = _dp_schedule(dim)
@@ -148,11 +146,11 @@ def hafnian_dp(matrix, *, max_dim: int = HAFNIAN_DP_MAX_DIM) -> complex:
     return complex(haf[0])
 
 
-def permanent(matrix, *, max_dim: int = PERMANENT_MAX_DIM) -> complex:
+def permanent(matrix) -> complex:
     """Permanent via Ryser's inclusion-exclusion with Gray-code column updates."""
     b = _as_square(matrix)
     n = b.shape[0]
-    _check_cap(n, max_dim, "permanent")
+    _check_cap(n, PERMANENT_MAX_DIM, "permanent")
     if n == 0:
         return 1.0 + 0.0j
     row_sums = np.zeros(n, dtype=complex)
@@ -190,7 +188,7 @@ def _cycle_count(perm: tuple) -> int:
     return cycles
 
 
-def alpha_det(matrix, alpha: float, *, max_dim: int = ALPHA_DET_MAX_DIM) -> complex:
+def alpha_det(matrix, alpha: float) -> complex:
     """Cycle-weighted permutation sum: sum over permutations of
     alpha^(n - #cycles) times the product of matched entries.
 
@@ -198,7 +196,7 @@ def alpha_det(matrix, alpha: float, *, max_dim: int = ALPHA_DET_MAX_DIM) -> comp
     """
     b = _as_square(matrix)
     n = b.shape[0]
-    _check_cap(n, max_dim, "alpha_det")
+    _check_cap(n, ALPHA_DET_MAX_DIM, "alpha_det")
     if n == 0:
         return 1.0 + 0.0j
     rows = np.arange(n)

@@ -58,9 +58,16 @@ class MomentReport:
         return out
 
 
-def _batch_stats(values: np.ndarray, batches: int) -> tuple[float, float]:
+#: Batches behind every Monte Carlo standard error.
+BATCHES = 100
+#: Most cell tuples, and most boxes, the hafnian quadrature takes.
+QUADRATURE_TUPLE_LIMIT = 200_000
+QUADRATURE_MAX_ORDER = 4
+
+
+def _batch_stats(values: np.ndarray) -> tuple[float, float]:
     # Distribution-free standard error from near-equal batch means.
-    nb = min(batches, values.size)
+    nb = min(BATCHES, values.size)
     if nb < 2:
         return float(np.mean(values)), 0.0
     means = np.array([chunk.mean() for chunk in np.array_split(values, nb)])
@@ -160,8 +167,7 @@ def box_counts(patterns: np.ndarray, box) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def field_moment_mc(model: GaussianFieldModel, points, n_samples: int, seed,
-                    batches: int = 100) -> MomentReport:
+def field_moment_mc(model: GaussianFieldModel, points, n_samples: int, seed) -> MomentReport:
     """Monte Carlo mean of prod_i |G(x_{m_i})|^2 over the given points."""
     pts = cell_indices(points, model.grid.n_cells)
     if pts.size < 1 or pts.size > 4:
@@ -171,19 +177,17 @@ def field_moment_mc(model: GaussianFieldModel, points, n_samples: int, seed,
     m = model.grid.n_cells
     values = np.empty(n_samples)
     # Draw in the batch-sized chunks that _batch_stats averages: bounded memory.
-    for chunk in np.array_split(values, max(1, min(batches, n_samples))):
+    for chunk in np.array_split(values, max(1, min(BATCHES, n_samples))):
         z = rng.standard_normal((chunk.size, 2 * m)) @ factor.T
         g = z[:, :m] + 1j * z[:, m:]
         chunk[:] = np.prod(np.abs(g[:, pts]) ** 2, axis=1)
-    value, se = _batch_stats(values, batches)
+    value, se = _batch_stats(values)
     label = "E prod |G|^2 at " + ",".join(map(str, pts.tolist()))
     return MomentReport(label, value, se, n_samples)
 
 
 def quadrature_haf_moment(model: GaussianFieldModel, boxes, *,
-                          allow_repeats: bool = False,
-                          tuple_limit: int = 200_000,
-                          max_order: int = 4) -> MomentReport:
+                          allow_repeats: bool = False) -> MomentReport:
     """Exact discrete value sum over cell tuples of haf(block kernel)
     times the product of cell volumes.
 
@@ -196,13 +200,13 @@ def quadrature_haf_moment(model: GaussianFieldModel, boxes, *,
     """
     cells = [cell_set(box, model.grid.n_cells).tolist() for box in boxes]
     n = len(cells)
-    if n < 1 or n > max_order:
-        raise PreconditionError(f"between 1 and {max_order} boxes")
+    if n < 1 or n > QUADRATURE_MAX_ORDER:
+        raise PreconditionError(f"between 1 and {QUADRATURE_MAX_ORDER} boxes")
     if not allow_repeats:
         check_disjoint(cells)
     n_tuples = int(np.prod([len(c) for c in cells]))
-    if n_tuples > tuple_limit:
-        raise CapacityError(f"{n_tuples} cell tuples exceed limit {tuple_limit}")
+    if n_tuples > QUADRATURE_TUPLE_LIMIT:
+        raise CapacityError(f"{n_tuples} cell tuples exceed limit {QUADRATURE_TUPLE_LIMIT}")
     # Volume weight of every tuple, in product() order: the same
     # left-to-right products np.prod forms, one outer product per box.
     vols = model.grid.volumes
@@ -216,7 +220,7 @@ def quadrature_haf_moment(model: GaussianFieldModel, boxes, *,
     return MomentReport(label, float(total.real), None, None)
 
 
-def empirical_product_moment(patterns, boxes, batches: int = 100) -> MomentReport:
+def empirical_product_moment(patterns, boxes) -> MomentReport:
     """Sample mean and standard error of prod_i gamma(D_i) over patterns."""
     pats = np.atleast_2d(np.asarray(patterns))
     if pats.size == 0 or pats.shape[0] == 0:
@@ -226,12 +230,12 @@ def empirical_product_moment(patterns, boxes, batches: int = 100) -> MomentRepor
     values = np.ones(pats.shape[0], dtype=float)
     for box in cells:
         values *= box_counts(pats, box)
-    mean, se = _batch_stats(values, batches)
+    mean, se = _batch_stats(values)
     label = "empirical prod gamma over " + "x".join(map(str, cells))
     return MomentReport(label, mean, se, pats.shape[0])
 
 
-def empirical_factorial_moment(patterns, box, n: int, batches: int = 100) -> MomentReport:
+def empirical_factorial_moment(patterns, box, n: int) -> MomentReport:
     """Sample mean of the falling factorial gamma(D)(gamma(D)-1)...(gamma(D)-n+1)."""
     if n < 1:
         raise PreconditionError("order must be >= 1")
@@ -242,5 +246,5 @@ def empirical_factorial_moment(patterns, box, n: int, batches: int = 100) -> Mom
     values = np.ones_like(t)
     for k in range(n):
         values *= t - k
-    mean, se = _batch_stats(values, batches)
+    mean, se = _batch_stats(values)
     return MomentReport(f"empirical falling factorial order {n}", mean, se, pats.shape[0])

@@ -379,12 +379,11 @@ def test_verify_malformed_config_exit_2(tmp_path, capsys, doc, message):
     {"window": [0, 1e308], "cells": 2},
 ])
 def test_verify_huge_window_exit_2_without_traceback(tmp_path, capsys, doc):
-    # The growth bound (2 * intensity)^n overflows a float here; numpy warns
-    # of overflow and invalid values in the field arithmetic on the way.
+    # The field arithmetic overflows a float here; the command stops at the
+    # first overflow with one error line and no numpy warning.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
-    with pytest.warns(RuntimeWarning):
-        code, out = run("verify", "--config", str(cfg), capsys=capsys)
+    code, out = run("verify", "--config", str(cfg), capsys=capsys)
     assert code == 2
     assert out.err.startswith("error: ")
     assert len(out.err.splitlines()) == 1
@@ -402,6 +401,10 @@ def test_verify_negative_seed_flag_exit_2(capsys):
     ({"boxes": [[0], [7]]}, [], "cell index 7 is out of range 0..1"),
     ({"boxes": [[0], [7]], "replicates": 0}, [], "cell index 7 is out of range 0..1"),
     ({"boxes": [[0, 1], [1]]}, [], "boxes 0 and 1 overlap"),
+    ({"profile": {"lambda": [[1.0, 0.0]] * 2}, "model": {"builtin": "real-gauss"}}, [],
+     "cox sample draws from 'profile' or from 'model', not both; remove one from the config"),
+    ({"models": [{"builtin": "real-gauss"}]}, [],
+     "cox sample draws one model; name it in 'model' and remove 'models' from the config"),
 ])
 def test_cox_sample_out_of_range_config_writes_nothing(tmp_path, capsys, doc,
                                                       flags, message):
@@ -410,6 +413,23 @@ def test_cox_sample_out_of_range_config_writes_nothing(tmp_path, capsys, doc,
     out_dir = tmp_path / "run"
     code, out = run("cox", "sample", "--config", str(cfg), "--out", str(out_dir),
                     *flags, capsys=capsys)
+    assert code == 2
+    assert out.err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"profile": {"lambda": [[1.0, 0.0]] * 2}},
+     "field sample draws a Gaussian field; remove 'profile' from the config"),
+    ({"models": [{"builtin": "real-gauss"}]},
+     "field sample draws one model; name it in 'model' and remove 'models' from the config"),
+])
+def test_field_sample_refuses_another_process_exit_2(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict({"replicates": 3, "cells": 2}, **doc)))
+    out_dir = tmp_path / "run"
+    code, out = run("field", "sample", "--config", str(cfg), "--out", str(out_dir),
+                    capsys=capsys)
     assert code == 2
     assert out.err == f"error: {message}\n"
     assert not out_dir.exists()

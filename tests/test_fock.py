@@ -241,6 +241,20 @@ def test_zero_model_ladder_pair_is_grid_ladder():
     assert (down - fk.annihilate(basis, e0)).max_abs() == 0.0
 
 
+@pytest.mark.parametrize("fn", [fk.ladder_pair, fk.phi, fk.psi],
+                         ids=["ladder_pair", "phi", "psi"])
+def test_cell_operators_read_the_cell_index_rule(bases, fn):
+    model, basis = MODELS["alpha-beta-demo"], bases["alpha-beta-demo"]
+    for bad in (0.7, True, "1", -1, 3, np.float64(2.0), np.bool_(False)):
+        with pytest.raises(DimensionError):
+            fn(basis, model, bad)
+
+    def mats(m):
+        out = fn(basis, model, m)
+        return [op.mat.toarray() for op in (out if isinstance(out, tuple) else (out,))]
+    assert all(np.array_equal(a, b) for a, b in zip(mats(np.int64(2)), mats(2), strict=True))
+
+
 def test_dressed_ccr_is_diagonal(bases):
     for name, model in MODELS.items():
         basis = bases[name]

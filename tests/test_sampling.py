@@ -295,9 +295,9 @@ def test_quadrature_preconditions():
     with pytest.raises(PreconditionError):
         sp.quadrature_haf_moment(model, [[0, 1], [1, 2]])
     sp.quadrature_haf_moment(model, [[0, 1], [1, 2]], allow_repeats=True)
-    with pytest.raises(CapacityError):
-        sp.quadrature_haf_moment(model, [[0, 1, 2, 3, 4]] * 4, tuple_limit=100,
-                                 allow_repeats=True)
+    wide = kn.builtin_model("real-gauss", kn.Grid.regular(0.0, 1.0, 22))
+    with pytest.raises(CapacityError):   # 22^4 = 234 256 tuples, over the 200 000 cap
+        sp.quadrature_haf_moment(wide, [range(22)] * 4, allow_repeats=True)
     with pytest.raises(PreconditionError):
         sp.quadrature_haf_moment(model, [[0]] * 5, allow_repeats=True)
 
