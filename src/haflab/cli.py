@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -22,18 +22,18 @@ from . import kernels as kn
 from . import matfun as mf
 from . import sampling as sp
 from .errors import ConfigError, HaflabError
+from .kernels import _instance, _number, _whole
 from .verify import run_battery
-
-
-def _instance(*types):
-    return lambda x: isinstance(x, types) and not isinstance(x, bool)
 
 
 def _list_of(test):
     return lambda x: isinstance(x, list) and all(test(item) for item in x)
 
 
-_whole, _number = _instance(int), _instance(int, float)
+def _typed(default, kind: str, test):
+    """A config field and the JSON type it takes, `kind` naming `test`;
+    null is accepted where the default is None."""
+    return field(default=default, metadata={"kind": kind, "test": test})
 
 
 def _check_ranges(*checks) -> None:
@@ -45,55 +45,38 @@ def _check_ranges(*checks) -> None:
 
 @dataclass
 class ExperimentConfig:
-    seed: int = 2024
-    window: tuple = (0.0, 1.0)
-    cells: int = 3
-    replicates: int = 1000
-    truncation: int = 6
-    mc_samples: int = 40_000
-    max_order: int = 2
-    boxes: list | None = None
-    orders: list | None = None
-    model: dict | None = None
-    models: list | None = None
-    profile: dict | None = None
-    out: str | None = None
-
-    # The JSON type each field takes; null is accepted where the default is None.
-    _FIELDS = {
-        "seed": ("an integer", _whole),
-        "window": ("a [lo, hi] pair of numbers",
-                   lambda x: _list_of(_number)(x) and len(x) == 2),
-        "cells": ("an integer", _whole),
-        "replicates": ("an integer", _whole),
-        "truncation": ("an integer", _whole),
-        "mc_samples": ("an integer", _whole),
-        "max_order": ("an integer", _whole),
-        "boxes": ("a list of integer lists", _list_of(_list_of(_whole))),
-        "orders": ("a list of integers", _list_of(_whole)),
-        "model": ("an object", _instance(dict)),
-        "models": ("a list of objects", _list_of(_instance(dict))),
-        "profile": ("an object", _instance(dict)),
-        "out": ("a string", _instance(str)),
-    }
+    seed: int = _typed(2024, "an integer", _whole)
+    window: tuple = _typed((0.0, 1.0), "a [lo, hi] pair of numbers",
+                           lambda x: _list_of(_number)(x) and len(x) == 2)
+    cells: int = _typed(3, "an integer", _whole)
+    replicates: int = _typed(1000, "an integer", _whole)
+    truncation: int = _typed(6, "an integer", _whole)
+    mc_samples: int = _typed(40_000, "an integer", _whole)
+    max_order: int = _typed(2, "an integer", _whole)
+    boxes: list | None = _typed(None, "a list of integer lists", _list_of(_list_of(_whole)))
+    orders: list | None = _typed(None, "a list of integers", _list_of(_whole))
+    model: dict | None = _typed(None, "an object", _instance(dict))
+    models: list | None = _typed(None, "a list of objects", _list_of(_instance(dict)))
+    profile: dict | None = _typed(None, "an object", _instance(dict))
+    out: str | None = _typed(None, "a string", _instance(str))
 
     @classmethod
     def load(cls, path: str | None, overrides: dict) -> "ExperimentConfig":
-        doc = {}
+        doc, typed = {}, {f.name: f for f in fields(cls)}
         if path is not None:
             try:
                 with open(path, "r", encoding="ascii") as fh:
                     doc = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config {path}: {exc}") from exc
-            unknown = set(doc) - set(cls._FIELDS)
+            unknown = set(doc) - set(typed)
             if unknown:
                 raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         doc.update({k: v for k, v in overrides.items() if v is not None})
         for name, value in doc.items():
-            kind, test = cls._FIELDS[name]
-            if not (test(value) or (value is None and getattr(cls, name) is None)):
-                raise ConfigError(f"config field '{name}' must be {kind}")
+            meta = typed[name].metadata
+            if not (meta["test"](value) or (value is None and typed[name].default is None)):
+                raise ConfigError(f"config field '{name}' must be {meta['kind']}")
         cfg = cls(**doc)
         lo, hi = cfg.window
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):

@@ -105,9 +105,6 @@ class FockOperator:
         self._like(other)
         return FockOperator(self.basis, (self.mat - other.mat).tocsr())
 
-    def __neg__(self):
-        return FockOperator(self.basis, (-self.mat).tocsr())
-
     def __mul__(self, scalar):
         return FockOperator(self.basis, (self.mat * complex(scalar)).tocsr())
 
@@ -124,9 +121,7 @@ class FockOperator:
         return self.mat @ vec
 
     def max_abs(self) -> float:
-        m = self.mat.copy()
-        m.eliminate_zeros()
-        return float(np.abs(m.data).max()) if m.nnz else 0.0
+        return float(np.abs(self.mat.data).max(initial=0.0))
 
     def on_domain(self, margin: int) -> sparse.csr_matrix:
         """Columns restricted to safe source states (total <= N - margin)."""
@@ -150,9 +145,7 @@ def vacuum_expectation(op: FockOperator) -> complex:
 
 
 def max_abs_on_domain(op: FockOperator, margin: int) -> float:
-    sub = sparse.csr_matrix(op.on_domain(margin))
-    sub.eliminate_zeros()
-    return float(np.abs(sub.data).max()) if sub.nnz else 0.0
+    return float(np.abs(op.on_domain(margin).data).max(initial=0.0))
 
 
 def hermiticity_defect(op: FockOperator, margin: int) -> float:
@@ -360,22 +353,17 @@ def theta(basis: FockBasis, source, boxes) -> complex:
     return complex(vec[0]) / math.factorial(len(boxes))
 
 
-def moment(basis: FockBasis, source, boxes, order=None) -> complex:
+def moment(basis: FockBasis, source, boxes) -> complex:
     """Vacuum expectation of the plain (non-normal-ordered) product of
-    densities; ``order`` gives a multiplicity per box (default 1 each)."""
+    densities over the boxes; a box listed k times enters to the power k."""
     cellsets = _as_cellsets(source, boxes)
-    mult = [1] * len(cellsets) if order is None else [int(k) for k in order]
-    if len(mult) != len(cellsets) or any(k < 1 for k in mult):
-        raise PreconditionError("order must list one positive multiplicity per box")
-    degree = sum(mult)
-    if basis.truncation < 2 * degree:
+    if basis.truncation < 2 * len(cellsets):
         raise CapacityError(
-            f"truncation {basis.truncation} too small for degree {degree}")
+            f"truncation {basis.truncation} too small for degree {len(cellsets)}")
     apply = _rho_apply(basis, source)
     vec = basis.vacuum()
-    for cells, k in zip(reversed(cellsets), reversed(mult)):
-        for _ in range(k):
-            vec = apply(cells, vec)
+    for cells in reversed(cellsets):
+        vec = apply(cells, vec)
     return complex(vec[0])
 
 
@@ -476,7 +464,7 @@ def bogoliubov_check(k1_map, k2_map) -> BogoliubovReport:
     def b_op(h):
         up = k2 @ h + np.conj(k1 @ h)
         down = k1 @ h + np.conj(k2 @ h)
-        return create(basis, up) + annihilate(basis, down)
+        return _ladder_op(basis, up, down, 0)
 
     def t2_closed(f, h):
         uf = k1 @ f + np.conj(k2 @ f)

@@ -11,11 +11,22 @@ feature space is componentwise complex conjugation in the standard basis.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ModelError, PreconditionError
+
+
+def _instance(*types):
+    return lambda x: isinstance(x, types) and not isinstance(x, bool)
+
+
+# The one integer and one number rule of cell indices, model parameters and
+# config fields: Python or numpy, never a bool (numpy's bool_ is neither).
+_whole = _instance(int, np.integer)
+_number = _instance(int, float, np.integer, np.floating)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +222,7 @@ def cell_indices(cells, n_cells: int) -> np.ndarray:
     # into that int, and on a few indices its reductions cost more.
     items = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
     for c in items:
-        if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+        if not _whole(c):
             raise DimensionError(f"cell indices must be integers: {c!r} is not an integer")
         if not 0 <= c < n_cells:
             raise DimensionError(f"cell index {c} is out of range 0..{n_cells - 1}")
@@ -276,6 +287,14 @@ def _se_fourier_features(x: np.ndarray, n_freq: int, lengthscale: float,
     return np.sqrt(dens * dw)[:, None] * np.exp(1j * np.outer(freqs, x))
 
 
+#: Per builtin model: the key and default of its feature count, and its
+#: default lengthscale as a fraction of the window.
+_BUILTINS = {"proper-fourier": ("n_freq", 3, 0.35),
+             "real-gauss": ("n_centers", 3, 0.22),
+             "alpha-beta-demo": ("d_half", 2, 0.45)}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
 def builtin_model(name: str, grid: Grid, params: dict | None = None) -> GaussianFieldModel:
     """Named demonstration models, validated on construction.
 
@@ -284,52 +303,46 @@ def builtin_model(name: str, grid: Grid, params: dict | None = None) -> Gaussian
     - "real-gauss": real-valued field (k1 = k2 real symmetric), Gaussian
       bump features.
     - "alpha-beta-demo": mixed field with complex k1 and nonzero k2.
+
+    Each takes its feature count (an integer >= 1), a finite positive
+    "lengthscale" and a finite "scale"; a bool or a string is no number.
     """
     if params is not None and not isinstance(params, dict):
         raise ConfigError(f"parameters for {name!r} must be an object")
+    if name not in _BUILTINS:
+        raise ConfigError(f"unknown builtin model {name!r}")
     params = dict(params or {})
     x = grid.centers[:, 0]
     span = float(grid.hi[0] - grid.lo[0])
+    key, default, fraction = _BUILTINS[name]
+    count = _param(params, key, default, whole=True)
+    if count < 1:
+        raise ConfigError(f"model parameter {key!r} must be at least 1, got {count}")
+    ell = _param(params, "lengthscale", fraction * span)
+    if not (np.isfinite(ell) and ell > 0):
+        raise ConfigError(f"model parameter 'lengthscale' must be finite and positive, got {ell}")
+    scale = _param(params, "scale", 1.0)
+    if not np.isfinite(scale):
+        raise ConfigError(f"model parameter 'scale' must be finite, got {scale}")
+    if params:
+        raise ConfigError(f"unknown parameters for {name!r}: {sorted(params)}")
 
     if name == "proper-fourier":
-        n_freq = _count(params, "n_freq", 3)
-        ell = _lengthscale(params, 0.35 * span)
-        scale = _param(params, "scale", float, 1.0)
-        _reject_extras(name, params)
-        base = _se_fourier_features(x, n_freq, ell, scale)
+        base = _se_fourier_features(x, count, ell, scale)
         zero = np.zeros_like(base)
         l1 = np.vstack([base, zero])
         l2 = np.vstack([zero, base])
         return field_model(grid, l1, l2)
 
+    locs = grid.lo[0] + span * (np.arange(count) + 0.5) / count
+    bumps = np.exp(-0.5 * ((x[None, :] - locs[:, None]) / ell) ** 2)
     if name == "real-gauss":
-        n_centers = _count(params, "n_centers", 3)
-        ell = _lengthscale(params, 0.22 * span)
-        scale = _param(params, "scale", float, 1.0)
-        _reject_extras(name, params)
-        locs = grid.lo[0] + span * (np.arange(n_centers) + 0.5) / n_centers
-        feats = scale * np.exp(-0.5 * ((x[None, :] - locs[:, None]) / ell) ** 2)
-        return field_model(grid, feats, feats)
-
-    if name == "alpha-beta-demo":
-        d_half = _count(params, "d_half", 2)
-        ell = _lengthscale(params, 0.45 * span)
-        scale = _param(params, "scale", float, 1.0)
-        _reject_extras(name, params)
-        locs = grid.lo[0] + span * (np.arange(d_half) + 0.5) / d_half
-        bumps = np.exp(-0.5 * ((x[None, :] - locs[:, None]) / ell) ** 2)
-        # Winding phases decorrelate the kernel across the window; keeping
-        # |alpha| = |beta| pointwise caps the self-moment growth.
-        waves = np.exp(2j * np.pi * (np.arange(1, d_half + 1)[:, None]
-                                     * (x[None, :] - grid.lo[0]) / span))
-        alpha = scale * waves * bumps
-        beta = scale * bumps
-        return from_alpha_beta(alpha, beta, grid)
-
-    raise ConfigError(f"unknown builtin model {name!r}")
-
-
-BUILTIN_NAMES = ("proper-fourier", "real-gauss", "alpha-beta-demo")
+        return field_model(grid, scale * bumps, scale * bumps)
+    # Winding phases decorrelate the kernel across the window; keeping
+    # |alpha| = |beta| pointwise caps the self-moment growth.
+    waves = np.exp(2j * np.pi * (np.arange(1, count + 1)[:, None]
+                                 * (x[None, :] - grid.lo[0]) / span))
+    return from_alpha_beta(scale * waves * bumps, scale * bumps, grid)
 
 
 def model_entry(entry: dict, grid: Grid) -> tuple[str, GaussianFieldModel]:
@@ -351,31 +364,20 @@ def _describe(grid: Grid) -> str:
     return f"[{float(grid.lo[0])!r}, {float(grid.hi[0])!r}] in {grid.n_cells} cells"
 
 
-def _param(params: dict, key: str, convert, default):
+def _param(params: dict, key: str, default, whole: bool = False):
+    """Pop a model parameter: an int if `whole`, else a float (a Python int
+    past the float range reads as infinite, as 1e400 does in JSON)."""
     value = params.pop(key, default)
+    if not _number(value):
+        raise ConfigError(f"model parameter {key!r} must be a number, got {value!r}")
+    if whole and not _whole(value):
+        raise ConfigError(f"model parameter {key!r} must be an integer, got {value!r}")
+    if whole:
+        return int(value)
     try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"model parameter {key!r} must be a number, got {value!r}") from exc
-
-
-def _count(params: dict, key: str, default: int) -> int:
-    value = _param(params, key, int, default)
-    if value < 1:
-        raise ConfigError(f"model parameter {key!r} must be at least 1, got {value}")
-    return value
-
-
-def _lengthscale(params: dict, default: float) -> float:
-    value = _param(params, "lengthscale", float, default)
-    if not (np.isfinite(value) and value > 0):
-        raise ConfigError(f"model parameter 'lengthscale' must be finite and positive, got {value}")
-    return value
-
-
-def _reject_extras(name: str, params: dict) -> None:
-    if params:
-        raise ConfigError(f"unknown parameters for {name!r}: {sorted(params)}")
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 # ---------------------------------------------------------------------------

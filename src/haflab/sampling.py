@@ -173,13 +173,10 @@ def field_moment_mc(model: GaussianFieldModel, points, n_samples: int, seed) -> 
     if pts.size < 1 or pts.size > 4:
         raise PreconditionError("between 1 and 4 points (estimator variance grows fast)")
     rng = _as_rng(seed)
-    factor = _augmented(model)[1]
-    m = model.grid.n_cells
     values = np.empty(n_samples)
     # Draw in the batch-sized chunks that _batch_stats averages: bounded memory.
     for chunk in np.array_split(values, max(1, min(BATCHES, n_samples))):
-        z = rng.standard_normal((chunk.size, 2 * m)) @ factor.T
-        g = z[:, :m] + 1j * z[:, m:]
+        g = sample_field(model, rng, size=chunk.size)
         chunk[:] = np.prod(np.abs(g[:, pts]) ** 2, axis=1)
     value, se = _batch_stats(values)
     label = "E prod |G|^2 at " + ",".join(map(str, pts.tolist()))

@@ -123,10 +123,8 @@ def quasifree_gaps(basis: fk.FockBasis, source, hs) -> tuple[float, float, float
     """|T1|, |T3| and the gap between T4 and its pair-partition sum, for
     four test functions `hs`."""
     t = lambda *fs: fk.quasifree_T(basis, source, fs)
-    odd = abs(t(*hs[:1])), abs(t(*hs[:3]))
-    h0, h1, h2, h3 = hs
-    pairs = t(h0, h1) * t(h2, h3) + t(h0, h2) * t(h1, h3) + t(h0, h3) * t(h1, h2)
-    return odd + (abs(t(*hs) - pairs),)
+    pairs = sum(t(hs[a], hs[b]) * t(hs[c], hs[d]) for (a, b), (c, d) in fk.pair_partitions(4))
+    return abs(t(*hs[:1])), abs(t(*hs[:3])), abs(t(*hs) - pairs)
 
 
 def growth_ratio(basis: fk.FockBasis, model: kn.GaussianFieldModel, box, n: int) -> float:
@@ -273,6 +271,10 @@ def run_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     if cfg.cells < max_order:   # the order-n theta check takes one cell per box
         raise ConfigError(f"verify needs at least {max_order} cells for moment order "
                           f"{max_order}, got 'cells' {cfg.cells}")
+    if cfg.models == []:
+        raise ConfigError("verify needs at least one model, got 'models' []")
+    if cfg.replicates < 1:   # the Cox and Poisson checks average over the replicates
+        raise ConfigError(f"verify needs at least 1 replicate, got 'replicates' {cfg.replicates}")
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid()
     entries = (cfg.models if cfg.models is not None

@@ -364,6 +364,18 @@ def test_verify_unknown_config_key(tmp_path, capsys):
     ({"cells": 1}, "verify needs at least 2 cells for moment order 2, got 'cells' 1"),
     ({"cells": 2, "max_order": 3},
      "verify needs at least 3 cells for moment order 3, got 'cells' 2"),
+    ({"models": [{"builtin": "proper-fourier", "params": {"n_freq": 1.5}}]},
+     "model parameter 'n_freq' must be an integer, got 1.5"),
+    ({"models": [{"builtin": "real-gauss", "params": {"n_centers": True}}]},
+     "model parameter 'n_centers' must be a number, got True"),
+    ({"models": [{"builtin": "real-gauss", "params": {"scale": "2"}}]},
+     "model parameter 'scale' must be a number, got '2'"),
+    ({"models": [{"builtin": "alpha-beta-demo", "params": {"lengthscale": "0.3"}}]},
+     "model parameter 'lengthscale' must be a number, got '0.3'"),
+    ({"models": [{"builtin": "proper-fourier", "params": {"scale": 1e400}}]},
+     "model parameter 'scale' must be finite, got inf"),
+    ({"models": []}, "verify needs at least one model, got 'models' []"),
+    ({"replicates": 0}, "verify needs at least 1 replicate, got 'replicates' 0"),
 ])
 def test_verify_malformed_config_exit_2(tmp_path, capsys, doc, message):
     cfg = tmp_path / "cfg.json"
@@ -405,6 +417,8 @@ def test_verify_negative_seed_flag_exit_2(capsys):
      "cox sample draws from 'profile' or from 'model', not both; remove one from the config"),
     ({"models": [{"builtin": "real-gauss"}]}, [],
      "cox sample draws one model; name it in 'model' and remove 'models' from the config"),
+    ({"model": {"builtin": "real-gauss", "params": {"n_centers": 1.9}}}, [],
+     "model parameter 'n_centers' must be an integer, got 1.9"),
 ])
 def test_cox_sample_out_of_range_config_writes_nothing(tmp_path, capsys, doc,
                                                       flags, message):

@@ -488,7 +488,7 @@ def test_moment_variance_nonnegative(bases):
     model = MODELS["alpha-beta-demo"]
     basis = bases["alpha-beta-demo"]
     box = [0, 1]
-    second = fk.moment(basis, model, [box], order=[2]).real
+    second = fk.moment(basis, model, [box, box]).real
     first = fk.moment(basis, model, [box]).real
     assert second >= first ** 2 - 1e-12
 
@@ -509,7 +509,7 @@ def test_second_moment_of_one_box_matches_monte_carlo(bases):
     for name, model in MODELS.items():
         basis = bases[name]
         box = [0, 1]
-        exact = fk.moment(basis, model, [box], order=[2]).real
+        exact = fk.moment(basis, model, [box, box]).real
         counts = sp.box_counts(sp.sample_cox(model, 41, size=60_000), box)
         sq = counts.astype(float) ** 2
         se = sq.std(ddof=1) / np.sqrt(sq.size)
@@ -660,13 +660,12 @@ def test_theta_equals_wick_vacuum_expectation(sources):
 
 def test_moment_equals_rho_product_on_vacuum(sources):
     for basis, source in sources:
-        for boxes, order in (([[0, 2]], [1]), ([[0, 1]], [3]), ([[0], [1, 2]], [1, 1]),
-                             ([[0, 1], [1, 2]], [2, 1]), ([[0], [1], [2], [0, 1]], None)):
+        for boxes in ([[0, 2]], [[0, 1]] * 3, [[0], [1, 2]],
+                      [[0, 1], [0, 1], [1, 2]], [[0], [1], [2], [0, 1]]):
             prod = fk.identity(basis)
-            for box, k in zip(boxes, order or [1] * len(boxes)):
-                for _ in range(k):
-                    prod = prod @ fk.rho(basis, source, box)
-            got = fk.moment(basis, source, boxes, order=order)
+            for box in boxes:
+                prod = prod @ fk.rho(basis, source, box)
+            got = fk.moment(basis, source, boxes)
             assert abs(got - fk.vacuum_expectation(prod)) <= 1e-13
 
 
@@ -689,7 +688,7 @@ def test_vacuum_routes_build_no_operators(sources, monkeypatch):
     hs = [np.ones(3), np.arange(3.0) + 1j]
     for basis, source in sources:
         assert np.isfinite(fk.theta(basis, source, [[0, 1], [1, 2], [2]]))
-        assert np.isfinite(fk.moment(basis, source, [[0], [1, 2]], order=[2, 1]))
+        assert np.isfinite(fk.moment(basis, source, [[0], [0], [1, 2]]))
         assert np.isfinite(fk.quasifree_T(basis, source, hs))
         with pytest.raises(AssertionError):
             fk.rho(basis, source, [0])
@@ -701,7 +700,7 @@ def test_vacuum_routes_capacity_errors():
     with pytest.raises(CapacityError, match="too small for order 2"):
         fk.theta(small, model, [[0], [1]])
     with pytest.raises(CapacityError, match="too small for degree 2"):
-        fk.moment(small, model, [[0]], order=[2])
+        fk.moment(small, model, [[0], [0]])
     with pytest.raises(CapacityError, match="too small for 4 factors"):
         fk.quasifree_T(small, model, [np.ones(3)] * 4)
     with pytest.raises(PreconditionError):
