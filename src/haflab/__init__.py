@@ -13,12 +13,12 @@ from .errors import (
 from .kernels import (
     Grid,
     GaussianFieldModel,
-    IntensityProfile,
     block_kernel,
     builtin_model,
     field_model,
     from_alpha_beta,
     intensity_integral,
+    intensity_profile,
     load_model,
     save_model,
     validate_features,
@@ -34,7 +34,6 @@ from .sampling import (
     replicate_rng,
     sample_cox,
     sample_field,
-    sample_poisson,
 )
 
 __version__ = "0.1.0"
@@ -42,13 +41,13 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError", "ConfigError", "DimensionError", "HaflabError",
     "ModelError", "PreconditionError",
-    "Grid", "GaussianFieldModel", "IntensityProfile",
+    "Grid", "GaussianFieldModel",
     "block_kernel", "builtin_model", "field_model", "from_alpha_beta",
-    "intensity_integral", "load_model", "save_model", "validate_features",
+    "intensity_integral", "intensity_profile", "load_model", "save_model", "validate_features",
     "alpha_det", "bench_hafnian", "determinant", "hafnian_dp",
     "hafnian_enum", "permanent",
     "MomentReport", "augmented_covariance", "empirical_factorial_moment",
     "empirical_product_moment", "field_moment_mc", "quadrature_haf_moment",
-    "replicate_rng", "sample_cox", "sample_field", "sample_poisson",
+    "replicate_rng", "sample_cox", "sample_field",
     "__version__",
 ]

@@ -100,14 +100,14 @@ class ExperimentConfig:
     def resolve_model(self) -> kn.GaussianFieldModel:
         return kn.model_entry(self.model or {"builtin": "proper-fourier"}, self.grid())[1]
 
-    def resolve_profile(self) -> kn.IntensityProfile:
-        """Deterministic intensity amplitudes, one [re, im] pair per cell."""
+    def resolve_profile(self) -> kn.GaussianFieldModel:
+        """The model with no features and a mean of one [re, im] pair per cell."""
         try:
             lam = np.array([complex(p[0], p[1]) for p in self.profile["lambda"]])
         except (KeyError, TypeError, IndexError) as exc:
             raise ConfigError(
                 "profile needs a 'lambda' list of [re, im] pairs") from exc
-        return kn.IntensityProfile(self.grid(), lam)
+        return kn.intensity_profile(self.grid(), lam)
 
     def disjoint_boxes(self, n_cells: int) -> list[list[int]]:
         if self.boxes is not None:
@@ -187,33 +187,25 @@ def cmd_sample(args, kind: str) -> int:
     if cfg.models is not None:
         raise ConfigError(f"{kind} sample draws one model; name it in 'model' "
                           "and remove 'models' from the config")
-    # a deterministic intensity profile turns `cox sample` into plain
-    # Poisson sampling; `field sample` always needs a model
+    # a profile is a model with no features, whose Cox counts are plain Poisson
     if kind == "field" and cfg.profile is not None:
         raise ConfigError("field sample draws a Gaussian field; remove 'profile' from the config")
     if cfg.profile is not None and cfg.model is not None:
         raise ConfigError("cox sample draws from 'profile' or from 'model', not both; "
                           "remove one from the config")
-    if cfg.profile is not None:
-        profile = cfg.resolve_profile()
-        m_cells = profile.grid.n_cells
-        draw = lambda rng: sp.sample_poisson(profile, rng)
-    else:
-        model = cfg.resolve_model()
-        m_cells = model.grid.n_cells
-        sampler = sp.sample_cox if kind == "cox" else sp.sample_field
-        draw = lambda rng: sampler(model, rng)
-    boxes = cfg.disjoint_boxes(m_cells)
+    model = cfg.resolve_profile() if cfg.profile is not None else cfg.resolve_model()
+    sampler = sp.sample_cox if kind == "cox" else sp.sample_field
+    boxes = cfg.disjoint_boxes(model.grid.n_cells)
     os.makedirs(cfg.out, exist_ok=True)
 
     name, header, template, dtype = _DUMPS[kind]
-    rows = np.zeros((cfg.replicates, m_cells), dtype=dtype)
+    rows = np.zeros((cfg.replicates, model.grid.n_cells), dtype=dtype)
     with _open_new(os.path.join(cfg.out, name), args.force) as fh:
         fh.write(header)
         for start in range(0, cfg.replicates, _CSV_CHUNK):
             stop = min(start + _CSV_CHUNK, cfg.replicates)
             for r in range(start, stop):
-                rows[r] = draw(sp.replicate_rng(cfg.seed, r))
+                rows[r] = sampler(model, sp.replicate_rng(cfg.seed, r))
             fh.write(_csv_lines(template, start, rows[start:stop]))
 
     if kind == "cox":
@@ -337,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # Overflow or an invalid value (as on a huge window) stops the command
-    # with one error line instead of numpy warnings and garbage numbers.
+    # Overflow or an invalid value (as on a huge window), or an array too large
+    # to allocate, stops the command with one error line and no traceback.
     try:
         with np.errstate(over="raise", invalid="raise"):
             if args.command == "matfun":
@@ -350,7 +342,7 @@ def main(argv=None) -> int:
             if args.command == "bench":
                 return cmd_bench(args)
             raise ConfigError(f"unknown command {args.command}")
-    except (HaflabError, OSError, FloatingPointError) as exc:
+    except (HaflabError, OSError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import CapacityError, DimensionError, PreconditionError
-from .kernels import GaussianFieldModel, IntensityProfile, cell_indices, cell_set
+from .kernels import GaussianFieldModel, cell_indices, cell_set
 
 #: Most boxes of a Wick polynomial, and the largest residual of either
 #: condition that `bogoliubov_check` passes.
@@ -218,23 +218,16 @@ def neutral(basis: FockBasis, cells) -> FockOperator:
 # ---------------------------------------------------------------------------
 
 
-def _ladders(basis: FockBasis, source):
-    """Ladder table (up, down) of a field model or an intensity profile.
+def _ladders(basis: FockBasis, source: GaussianFieldModel):
+    """Ladder table (up, down) of a field model.
 
     Each half is a triple (g, f, c), g and f of shape (n_modes, M) and c of
     shape (M,), with A(x_m) = create(g[:, m]) + annihilate(f[:, m]) + c[m]:
-    A+ = (e/sqrt(vol) + conj l2, conj l1, conj lam) and
-    A- = (l1, e/sqrt(vol) + l2, lam), e the grid modes.  A field model has
-    lam = 0; an intensity profile lives on a grid-only basis (l1 = l2 = 0).
+    A+ = (e/sqrt(vol) + conj l2, conj l1, conj mean) and
+    A- = (l1, e/sqrt(vol) + l2, mean), e the grid modes.  A model with no
+    features (`intensity_profile`) lives on a grid-only basis.
     """
-    grid = source.grid
-    if isinstance(source, GaussianFieldModel):
-        l1, l2, lam = source.l1, source.l2, np.zeros(grid.n_cells)
-    elif isinstance(source, IntensityProfile):
-        l1 = l2 = np.zeros((0, grid.n_cells))
-        lam = source.lam
-    else:
-        raise DimensionError(f"unsupported source {type(source).__name__}")
+    grid, l1, l2, mean = source.grid, source.l1, source.l2, source.mean
     if (basis.n_grid, basis.n_feature) != (grid.n_cells, len(l1)):
         raise DimensionError(
             f"basis has ({basis.n_grid} grid, {basis.n_feature} feature) modes; "
@@ -242,7 +235,7 @@ def _ladders(basis: FockBasis, source):
     e, d1, d2 = np.zeros((3, basis.n_modes, grid.n_cells), dtype=complex)
     e[:basis.n_grid] = np.diag(1.0 / np.sqrt(grid.volumes))
     d1[basis.n_grid:], d2[basis.n_grid:] = l1, l2
-    return (e + d2.conj(), d1.conj(), lam.conj()), (d1, e + d2, lam)
+    return (e + d2.conj(), d1.conj(), mean.conj()), (d1, e + d2, mean)
 
 
 def _at(ladders, m) -> list[tuple]:
@@ -252,7 +245,7 @@ def _at(ladders, m) -> list[tuple]:
 
 
 def ladder_pair(basis: FockBasis, source, m) -> tuple[FockOperator, FockOperator]:
-    """(A+, A-) at cell m for a field model or an intensity profile."""
+    """(A+, A-) at cell m of a field model."""
     up, down = _at(_ladders(basis, source), m)
     return _ladder_op(basis, *up), _ladder_op(basis, *down)
 

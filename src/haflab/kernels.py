@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,33 +78,29 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class GaussianFieldModel:
-    """Grid plus feature maps and their derived Gram kernels."""
+    """Grid, feature maps, their Gram kernels and a read-only mean (zeros by default)."""
 
     grid: Grid
     l1: np.ndarray   # (d, M) feature columns
     l2: np.ndarray   # (d, M)
     k1: np.ndarray   # (M, M) Hermitian covariance Gram
     k2: np.ndarray   # (M, M) symmetric pseudo-covariance Gram
+    mean: np.ndarray | None = None   # (M,) complex, zeros if None
+    displaced: bool = field(init=False)   # the mean is nonzero
+
+    def __post_init__(self):
+        mean = np.array(np.zeros(self.grid.n_cells) if self.mean is None else self.mean, complex)
+        if mean.shape != (self.grid.n_cells,):
+            raise DimensionError("need one intensity value per cell")
+        if not np.all(np.isfinite(mean)):
+            raise ModelError("intensity values must be finite")
+        mean.flags.writeable = False
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "displaced", bool(mean.any()))
 
     @property
     def feature_dim(self) -> int:
         return self.l1.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class IntensityProfile:
-    """Deterministic complex intensity amplitude per cell (rate |lam|^2)."""
-
-    grid: Grid
-    lam: np.ndarray   # (M,)
-
-    def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=complex)
-        object.__setattr__(self, "lam", lam)
-        if lam.shape != (self.grid.n_cells,):
-            raise DimensionError("need one intensity value per cell")
-        if not np.all(np.isfinite(lam)):
-            raise ModelError("intensity values must be finite")
 
 
 @dataclass(frozen=True)
@@ -192,6 +188,13 @@ def from_alpha_beta(alpha, beta, grid: Grid) -> GaussianFieldModel:
     return field_model(grid, l1, l2, validate=False)
 
 
+def intensity_profile(grid: Grid, lam) -> GaussianFieldModel:
+    """Deterministic complex intensity amplitude per cell (rate |lam|^2):
+    the model with no features and mean `lam`."""
+    empty = np.zeros((0, grid.n_cells), dtype=complex)
+    return replace(field_model(grid, empty, empty, validate=False), mean=lam)
+
+
 def _interleaved(model: GaussianFieldModel) -> np.ndarray:
     # Block kernel of all cells at once (rows 2m, 2m+1 belong to cell m),
     # built once and cached read-only on the model: it is frozen and k1, k2
@@ -199,6 +202,8 @@ def _interleaved(model: GaussianFieldModel) -> np.ndarray:
     cached = vars(model).get("_interleaved")
     if cached is not None:
         return cached
+    if model.displaced:
+        raise ModelError("block kernels need a zero-mean field; this model has a mean")
     m_cells = model.grid.n_cells
     out = np.empty((2 * m_cells, 2 * m_cells), dtype=complex)
     out[0::2, 0::2] = model.k2
@@ -264,9 +269,9 @@ def block_kernel(model: GaussianFieldModel, points) -> np.ndarray:
 
 
 def intensity_integral(model: GaussianFieldModel, cells) -> float:
-    """Quadrature of the squared feature norm over a cell set."""
+    """Quadrature of E|G|^2, squared feature norm plus squared mean, over a cell set."""
     idx = cell_set(cells, model.grid.n_cells)
-    norms = np.sum(np.abs(model.l1[:, idx]) ** 2, axis=0)
+    norms = np.sum(np.abs(model.l1[:, idx]) ** 2, axis=0) + np.abs(model.mean[idx]) ** 2
     return float(np.dot(model.grid.volumes[idx], norms))
 
 
@@ -401,6 +406,8 @@ def save_model(path, model: GaussianFieldModel) -> None:
     grid = model.grid
     if grid.centers.shape[1] != 1:
         raise ConfigError("model files support one-dimensional grids only")
+    if model.displaced:
+        raise ConfigError("model files hold zero-mean fields only; this model has a mean")
     doc = {
         "grid": {"window": [float(grid.lo[0]), float(grid.hi[0])],
                  "cells": grid.n_cells},

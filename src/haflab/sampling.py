@@ -20,8 +20,7 @@ from itertools import product
 import numpy as np
 
 from .errors import CapacityError, ModelError, PreconditionError
-from .kernels import (GaussianFieldModel, IntensityProfile, block_kernel, cell_indices,
-                      cell_set, check_disjoint)
+from .kernels import GaussianFieldModel, block_kernel, cell_indices, cell_set, check_disjoint
 from .matfun import hafnian_dp
 
 
@@ -114,13 +113,18 @@ def augmented_covariance(model: GaussianFieldModel) -> np.ndarray:
 
 
 def sample_field(model: GaussianFieldModel, seed, size: int | None = None) -> np.ndarray:
-    """Draw the complex field on the grid; shape (M,) or (size, M)."""
+    """Draw the complex field on the grid; shape (M,) or (size, M).  With no
+    features it is a fresh copy of the mean, and no normals are drawn."""
     rng = _as_rng(seed)
-    factor = _augmented(model)[1]
     m = model.grid.n_cells
     n = 1 if size is None else int(size)
-    z = rng.standard_normal((n, 2 * m)) @ factor.T
-    g = z[:, :m] + 1j * z[:, m:]
+    if model.feature_dim == 0:
+        g = np.tile(model.mean, (n, 1))
+    else:
+        z = rng.standard_normal((n, 2 * m)) @ _augmented(model)[1].T
+        g = z[:, :m] + 1j * z[:, m:]
+        if model.displaced:   # in place: a third (size, M) array raises peak memory
+            g += model.mean
     return g[0] if size is None else g
 
 
@@ -129,21 +133,13 @@ def sample_field(model: GaussianFieldModel, seed, size: int | None = None) -> np
 # ---------------------------------------------------------------------------
 
 
-def _poisson(rng: np.random.Generator, rate: np.ndarray, size=None) -> np.ndarray:
+def _poisson(rng: np.random.Generator, rate: np.ndarray) -> np.ndarray:
     # numpy rejects a NaN rate and any rate above about 9.2e18 (inf included).
     try:
-        return rng.poisson(rate, size=size)
+        return rng.poisson(rate)
     except ValueError as exc:
         raise CapacityError(f"largest Poisson rate {float(np.max(rate)):.6g} "
                             f"cannot be sampled: {exc}") from exc
-
-
-def sample_poisson(profile: IntensityProfile, seed, size: int | None = None) -> np.ndarray:
-    """Independent counts[m] ~ Poisson(|lam_m|^2 vol_m)."""
-    rng = _as_rng(seed)
-    rate = np.abs(profile.lam) ** 2 * profile.grid.volumes
-    shape = rate.shape if size is None else (int(size), rate.size)
-    return _poisson(rng, rate, shape)
 
 
 def sample_cox(model: GaussianFieldModel, seed, size: int | None = None) -> np.ndarray:

@@ -103,10 +103,10 @@ def theta_gap(basis: fk.FockBasis, source, boxes) -> float:
     return _rel(math.factorial(len(boxes)) * th, quad, 1e-12)
 
 
-def poisson_theta_gap(basis: fk.FockBasis, profile: kn.IntensityProfile, boxes) -> float:
-    """Gap between theta of a deterministic intensity and its closed form,
-    the product of the box rates over n!."""
-    rate = np.abs(profile.lam) ** 2 * profile.grid.volumes
+def poisson_theta_gap(basis: fk.FockBasis, profile: kn.GaussianFieldModel, boxes) -> float:
+    """Gap between theta of a deterministic intensity (a model with no
+    features) and its closed form, the product of the box rates over n!."""
+    rate = np.abs(profile.mean) ** 2 * profile.grid.volumes
     closed = np.prod([rate[kn.cell_set(b, rate.size)].sum() for b in boxes])
     return abs(fk.theta(basis, profile, boxes) - closed / math.factorial(len(boxes)))
 
@@ -127,13 +127,25 @@ def quasifree_gaps(basis: fk.FockBasis, source, hs) -> tuple[float, float, float
     return abs(t(*hs[:1])), abs(t(*hs[:3])), abs(t(*hs) - pairs)
 
 
-def growth_ratio(basis: fk.FockBasis, model: kn.GaussianFieldModel, box, n: int) -> float:
-    """n! theta of `box` repeated n times over its bound (2 * intensity)^n."""
-    grow = math.factorial(n) * fk.theta(basis, model, [box] * n).real
+def growth_bound(model: kn.GaussianFieldModel, box, n: int) -> float:
+    """(2n-1)!! L^n, L = `intensity_integral(model, box)`: the bound on
+    n! theta([box]*n) = E[L_G^n], L_G = sum_m vol_m |G_m|^2 over the box.
+    Isserlis gives E[X^2n] = (2n-1)!! (E X^2)^n for a real Gaussian X (less
+    with a mean); Minkowski in L^n over |G_m|^2 = X_m^2 + Y_m^2, then over
+    the cells, gives ||L_G||_n <= ((2n-1)!!)^(1/n) L.  A real field on one
+    cell attains it; at n = 1 it is the identity E[L_G] = L."""
+    intensity = np.float64(kn.intensity_integral(model, box))
     try:
-        bound = (2.0 * kn.intensity_integral(model, box)) ** n
-    except OverflowError as exc:
-        raise CapacityError(f"growth bound (2 * intensity)^{n} overflows a float") from exc
+        with np.errstate(over="raise"):
+            return math.prod(range(1, 2 * n, 2)) * intensity ** n
+    except FloatingPointError as exc:
+        raise CapacityError(f"growth bound (2n-1)!! * intensity^{n} overflows a float") from exc
+
+
+def growth_ratio(basis: fk.FockBasis, model: kn.GaussianFieldModel, box, n: int) -> float:
+    """n! theta of `box` repeated n times over its `growth_bound`."""
+    grow = math.factorial(n) * fk.theta(basis, model, [box] * n).real
+    bound = growth_bound(model, box, n)
     return grow / bound if bound > 0 else (0.0 if grow <= 0 else math.inf)
 
 
@@ -247,10 +259,10 @@ def _model_checks(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig,
 
 def _poisson_checks(cfg: ExperimentConfig, rng: np.random.Generator) -> list[CheckResult]:
     grid = kn.Grid.regular(*cfg.window, max(2, cfg.cells))
-    profile = kn.IntensityProfile(grid, _complex_normal(rng, grid.n_cells))
-    rate = np.abs(profile.lam) ** 2 * grid.volumes
+    profile = kn.intensity_profile(grid, _complex_normal(rng, grid.n_cells))
+    rate = np.abs(profile.mean) ** 2 * grid.volumes
 
-    pats = sp.sample_poisson(profile, rng, size=cfg.replicates)
+    pats = sp.sample_cox(profile, rng, size=cfg.replicates)
     emp = sp.empirical_product_moment(pats, [list(range(grid.n_cells))])
     mean_count = _zscore("poisson/mean-count-mc", emp.value, float(rate.sum()),
                          emp.std_error)

@@ -105,7 +105,7 @@ def test_criterion_05_fock_hafnian_exact_identity():
 def test_criterion_06_poisson_closed_form():
     grid = kn.Grid.regular(0.0, 1.0, 4)
     lam = np.array([1.0, 0.5 + 0.5j, -0.75j, 0.3 - 0.2j])
-    profile = kn.IntensityProfile(grid, lam)
+    profile = kn.intensity_profile(grid, lam)
     basis = fk.FockBasis(4, 0, 6)
     worst = 0.0
     for boxes in ([[0, 1, 2, 3]], [[0, 1], [1, 2]], [[0], [1, 2], [2, 3]]):

@@ -376,6 +376,8 @@ def test_verify_unknown_config_key(tmp_path, capsys):
      "model parameter 'scale' must be finite, got inf"),
     ({"models": []}, "verify needs at least one model, got 'models' []"),
     ({"replicates": 0}, "verify needs at least 1 replicate, got 'replicates' 0"),
+    ({"models": [{"builtin": "proper-fourier", "params": {"n_freq": 10_000_000_000_000}}]},
+     "Unable to allocate"),
 ])
 def test_verify_malformed_config_exit_2(tmp_path, capsys, doc, message):
     cfg = tmp_path / "cfg.json"

@@ -7,6 +7,7 @@ from scipy.linalg import sqrtm
 from haflab import fock as fk
 from haflab import kernels as kn
 from haflab import sampling as sp
+from haflab import verify as vf
 from haflab.errors import CapacityError, DimensionError, PreconditionError
 from haflab.matfun import hafnian_dp
 
@@ -334,14 +335,14 @@ def test_rho_vacuum_expectation_is_quadrature(bases):
 def poisson_setup():
     grid = kn.Grid.regular(0.0, 1.0, 4)
     lam = np.array([1.0, 0.5 + 0.5j, -1j, 0.25])
-    profile = kn.IntensityProfile(grid, lam)
+    profile = kn.intensity_profile(grid, lam)
     basis = fk.FockBasis(4, 0, 6)
     return grid, profile, basis
 
 
 def test_poisson_pair_zero_intensity():
     grid = kn.Grid.regular(0.0, 1.0, 2)
-    profile = kn.IntensityProfile(grid, np.zeros(2))
+    profile = kn.intensity_profile(grid, np.zeros(2))
     basis = fk.FockBasis(2, 0, 3)
     up, down = fk.ladder_pair(basis, profile, 1)
     e1 = np.array([0.0, 1.0]) / math.sqrt(grid.volumes[1])
@@ -352,7 +353,7 @@ def test_poisson_pair_zero_intensity():
 def test_poisson_rho_four_term_closed_form(poisson_setup):
     grid, profile, basis = poisson_setup
     box = [0, 1, 3]
-    lam, vols = profile.lam, grid.volumes
+    lam, vols = profile.mean, grid.volumes
     weights = np.zeros(4, dtype=complex)
     weights[box] = lam[box] * np.sqrt(vols[box])
     mass = float(np.sum(np.abs(lam[box]) ** 2 * vols[box]))
@@ -365,13 +366,13 @@ def test_poisson_rho_expectation(poisson_setup):
     grid, profile, basis = poisson_setup
     box = [1, 2]
     val = fk.vacuum_expectation(fk.rho(basis, profile, box))
-    mass = float(np.sum(np.abs(profile.lam[box]) ** 2 * grid.volumes[box]))
+    mass = float(np.sum(np.abs(profile.mean[box]) ** 2 * grid.volumes[box]))
     assert val == pytest.approx(mass, abs=1e-13)
 
 
 def test_poisson_theta_product_form(poisson_setup):
     grid, profile, basis = poisson_setup
-    rate = np.abs(profile.lam) ** 2 * grid.volumes
+    rate = np.abs(profile.mean) ** 2 * grid.volumes
     for boxes in ([[0, 1]], [[0, 1], [1, 2]], [[0], [1, 2], [2, 3]]):
         n = len(boxes)
         th = fk.theta(basis, profile, boxes)
@@ -381,7 +382,7 @@ def test_poisson_theta_product_form(poisson_setup):
 
 def test_poisson_moment_unit_intensity():
     grid = kn.Grid.regular(0.0, 1.0, 4)
-    profile = kn.IntensityProfile(grid, np.ones(4))
+    profile = kn.intensity_profile(grid, np.ones(4))
     basis = fk.FockBasis(4, 0, 4)
     window = [0, 1, 2, 3]
     assert fk.moment(basis, profile, [window]) == pytest.approx(1.0, abs=1e-13)
@@ -522,8 +523,7 @@ def test_growth_bound_via_theta(bases):
         basis = bases[name]
         for n in (1, 2, 3):
             value = math.factorial(n) * fk.theta(basis, model, [box] * n).real
-            bound = (2.0 * kn.intensity_integral(model, box)) ** n
-            assert value <= bound * (1 + 1e-12)
+            assert value <= vf.growth_bound(model, box, n) * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +555,7 @@ def test_b_field_is_sum_of_ladder_pairs(bases):
     rng = np.random.default_rng(16)
     h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     h[1] = 0.0
-    profile = kn.IntensityProfile(GRID, rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    profile = kn.intensity_profile(GRID, rng.standard_normal(3) + 1j * rng.standard_normal(3))
     cases = [(bases[name], model) for name, model in MODELS.items()]
     cases.append((fk.FockBasis(GRID.n_cells, 0, 4), profile))
     for basis, source in cases:
@@ -636,7 +636,7 @@ def sources():
     # every builtin model and a profile, each on a basis deep enough for order 4
     out = [(fk.FockBasis(3, m.feature_dim, 8), m) for m in MODELS.values()]
     lam = np.array([1.0, 0.5 + 0.5j, -1j])
-    out.append((fk.FockBasis(3, 0, 8), kn.IntensityProfile(GRID, lam)))
+    out.append((fk.FockBasis(3, 0, 8), kn.intensity_profile(GRID, lam)))
     return out
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,55 @@ def test_intensity_integral_cases():
     l2_version = float(np.dot(GRID.volumes,
                               np.sum(np.abs(model.l2) ** 2, axis=0)))
     assert full == pytest.approx(l2_version, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the mean: a deterministic intensity is a model with no features
+# ---------------------------------------------------------------------------
+
+
+def test_mean_defaults_to_read_only_zeros():
+    model = kn.builtin_model("real-gauss", GRID)
+    assert model.mean.shape == (GRID.n_cells,) and not np.any(model.mean)
+    assert not model.displaced
+    with pytest.raises(ValueError):
+        model.mean[0] = 1.0
+
+
+def test_intensity_profile_is_a_model_with_no_features_and_a_mean():
+    lam = np.array([1.0, 0.5j, -2.0, 0.0, 1 - 1j])
+    profile = kn.intensity_profile(GRID, lam)
+    assert profile.l1.shape == profile.l2.shape == (0, GRID.n_cells)
+    assert not np.any(profile.k1) and not np.any(profile.k2)
+    assert np.array_equal(profile.mean, lam) and profile.displaced
+    assert not kn.intensity_profile(GRID, np.zeros(GRID.n_cells)).displaced
+    assert kn.intensity_integral(profile, [1, 2]) == pytest.approx(0.2 * (0.25 + 4.0))
+    lam[0] = 9.0   # the model holds its own copy
+    assert profile.mean[0] == 1.0
+
+
+@pytest.mark.parametrize("mean, error, message", [
+    (np.ones(4), DimensionError, "need one intensity value per cell"),
+    (np.ones((5, 1)), DimensionError, "need one intensity value per cell"),
+    ([1.0, np.nan, 0.0, 0.0, 0.0], ModelError, "intensity values must be finite"),
+    ([0.0, 0.0, complex(0.0, np.inf), 0.0, 0.0], ModelError, "intensity values must be finite"),
+])
+def test_mean_rejects_a_wrong_shape_and_non_finite_values(mean, error, message):
+    model = kn.builtin_model("real-gauss", GRID)
+    with pytest.raises(error, match=message):
+        kn.GaussianFieldModel(GRID, model.l1, model.l2, model.k1, model.k2, mean=mean)
+    with pytest.raises(error, match=message):
+        kn.intensity_profile(GRID, mean)
+
+
+def test_block_kernel_and_model_files_refuse_a_mean(tmp_path):
+    displaced = dataclasses.replace(kn.builtin_model("real-gauss", GRID),
+                                    mean=np.full(GRID.n_cells, 0.5))
+    with pytest.raises(ModelError, match="zero-mean"):
+        kn.block_kernel(displaced, [0, 1])
+    with pytest.raises(ConfigError, match="zero-mean"):
+        kn.save_model(tmp_path / "model.json", displaced)
+    assert not (tmp_path / "model.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import product
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from haflab import kernels as kn
 from haflab import sampling as sp
+from haflab import verify as vf
 from haflab.errors import CapacityError, DimensionError, ModelError, PreconditionError
 from haflab.matfun import hafnian_dp
 
@@ -141,14 +143,48 @@ def test_empirical_covariance_and_pseudo_covariance(name):
 
 
 def test_poisson_zero_intensity():
-    profile = kn.IntensityProfile(GRID, np.zeros(5))
-    assert sp.sample_poisson(profile, 1, size=20).max() == 0
+    profile = kn.intensity_profile(GRID, np.zeros(5))
+    assert sp.sample_cox(profile, 1, size=20).max() == 0
+
+
+@pytest.mark.parametrize("size", [None, 7])
+def test_cox_on_a_profile_is_the_plain_poisson_draw(size):
+    lam = np.array([1.0, 2.0, 0.5 + 0.5j, 1j, 0.0])
+    shape = (GRID.n_cells,) if size is None else (size, GRID.n_cells)
+    expected = np.random.default_rng(11).poisson(np.abs(lam) ** 2 * GRID.volumes, shape)
+    counts = sp.sample_cox(kn.intensity_profile(GRID, lam), 11, size=size)
+    assert counts.shape == shape and np.array_equal(counts, expected)
+
+
+def test_field_of_a_profile_is_its_mean_and_draws_nothing():
+    lam = np.array([1.0, 2.0, 0.5 + 0.5j, 1j, 0.0])
+    profile = kn.intensity_profile(GRID, lam)
+    rng = np.random.default_rng(3)
+    g = sp.sample_field(profile, rng, size=4)
+    assert np.array_equal(g, np.tile(lam, (4, 1)))
+    g[0, 0] = 7.0   # a fresh array, not the model's mean
+    assert profile.mean[0] == 1.0
+    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+
+def test_field_draw_adds_the_mean():
+    model = MODELS["alpha-beta-demo"]
+    mean = np.linspace(-1.0, 1.0, GRID.n_cells) * (1 + 2j)
+    displaced = dataclasses.replace(model, mean=mean)
+    shift = sp.sample_field(displaced, 5, size=3) - sp.sample_field(model, 5, size=3)
+    assert np.allclose(shift, mean, rtol=0.0, atol=1e-14)
+
+
+def test_quadrature_refuses_a_mean():
+    displaced = dataclasses.replace(MODELS["real-gauss"], mean=np.ones(GRID.n_cells))
+    with pytest.raises(ModelError, match="zero-mean"):
+        sp.quadrature_haf_moment(displaced, [[0], [1]])
 
 
 def test_poisson_mean_and_equidispersion():
     lam = np.array([1.0, 2.0, 0.5 + 0.5j, 1j, 0.0])
-    profile = kn.IntensityProfile(GRID, lam)
-    pats = sp.sample_poisson(profile, 8, size=100_000)
+    profile = kn.intensity_profile(GRID, lam)
+    pats = sp.sample_cox(profile, 8, size=100_000)
     rate = np.abs(lam) ** 2 * GRID.volumes
     totals = pats.sum(axis=1).astype(float)
     assert entrywise_z(totals, rate.sum()) < 4
@@ -313,8 +349,8 @@ def test_empirical_product_moment_cases():
 
 
 def test_empirical_poisson_window_mean():
-    profile = kn.IntensityProfile(GRID, np.ones(5))
-    pats = sp.sample_poisson(profile, 17, size=50_000)
+    profile = kn.intensity_profile(GRID, np.ones(5))
+    pats = sp.sample_cox(profile, 17, size=50_000)
     rep = sp.empirical_product_moment(pats, [list(range(5))])
     assert abs(rep.value - 1.0) < 4 * rep.std_error
 
@@ -330,8 +366,8 @@ def test_cox_product_moment_vs_quadrature():
 
 def test_factorial_moment_poisson_closed_form():
     lam = np.full(5, 1.2)
-    profile = kn.IntensityProfile(GRID, lam)
-    pats = sp.sample_poisson(profile, 23, size=120_000)
+    profile = kn.intensity_profile(GRID, lam)
+    pats = sp.sample_cox(profile, 23, size=120_000)
     box = [0, 1, 2]
     rep = sp.empirical_factorial_moment(pats, box, 2)
     mass = float(np.sum(np.abs(lam[box]) ** 2 * GRID.volumes[box]))
@@ -355,8 +391,7 @@ def test_growth_bound_all_models():
         for n in (1, 2, 3):
             quad = sp.quadrature_haf_moment(model, [box] * n,
                                             allow_repeats=True).value
-            bound = (2.0 * kn.intensity_integral(model, box)) ** n
-            assert quad <= bound * (1 + 1e-12)
+            assert quad <= vf.growth_bound(model, box, n) * (1 + 1e-12)
 
 
 def test_proper_field_permanent_reduction():

@@ -10,6 +10,7 @@ from haflab import fock as fk
 from haflab import kernels as kn
 from haflab import matfun as mf
 from haflab import verify as vf
+from haflab.errors import CapacityError
 
 EPS = 1e-6
 
@@ -86,7 +87,7 @@ def test_theta_gap_sees_a_scaled_route(monkeypatch, model, basis):
 
 def test_poisson_theta_gap_sees_a_scaled_route(monkeypatch):
     grid = kn.Grid.regular(0.0, 1.0, 4)
-    profile = kn.IntensityProfile(grid, [1.0, 0.5 + 0.5j, -0.75j, 0.3 - 0.2j])
+    profile = kn.intensity_profile(grid, [1.0, 0.5 + 0.5j, -0.75j, 0.3 - 0.2j])
     basis = fk.FockBasis(4, 0, 6)
     boxes = [[0, 1], [1, 2]]
     theta = fk.theta(basis, profile, boxes)
@@ -140,3 +141,24 @@ def test_growth_ratio_sees_a_scaled_route(monkeypatch, model, basis):
     scaled(monkeypatch, fk, "theta")
     assert vf.growth_ratio(basis, model, box, 2) / before - 1 == pytest.approx(
         EPS, rel=1e-6)
+
+
+def test_growth_bound_is_attained_by_a_real_field_on_one_cell():
+    # A real field on one cell has E[X^2n] = (2n-1)!! Lambda^n exactly; the
+    # bound (2 Lambda)^n it replaces gave 15/8 = 1.875 at n = 3.
+    model = kn.builtin_model("real-gauss", kn.Grid.regular(0.0, 1.0, 1))
+    basis = fk.FockBasis(1, model.feature_dim, 6)
+    for n in (1, 2, 3):
+        assert vf.growth_ratio(basis, model, [0], n) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_growth_bound_overflow_is_a_capacity_error():
+    grid = kn.Grid.regular(0.0, 1.0, 2)
+    model = kn.field_model(grid, [[1e100, 1e100]], [[1e100, 1e100]])
+    assert vf.growth_bound(model, [0, 1], 1) == pytest.approx(1e200)
+    with pytest.raises(CapacityError, match="overflows a float"):
+        vf.growth_bound(model, [0, 1], 2)
+    # Lambda^3 is finite here, but 5!! Lambda^3 is not
+    big = kn.field_model(grid, [[2.35e51, 2.35e51]], [[2.35e51, 2.35e51]])
+    with pytest.raises(CapacityError, match="overflows a float"):
+        vf.growth_bound(big, [0, 1], 3)
