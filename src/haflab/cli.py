@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -118,6 +119,16 @@ class ExperimentConfig:
                 [i for i in range(n_cells) if i % 2 == 1]]
 
 
+@contextmanager
+def _naming(what: str):
+    """Add `what`, the input behind the numbers, to the message of a
+    floating-point overflow or invalid value raised in the block."""
+    try:
+        yield
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{exc} ({what})") from exc
+
+
 def _open_new(path: str, force: bool):
     if os.path.exists(path) and not force:
         raise ConfigError(f"{path} exists; pass --force to overwrite")
@@ -193,6 +204,11 @@ def cmd_sample(args, kind: str) -> int:
     if cfg.profile is not None and cfg.model is not None:
         raise ConfigError("cox sample draws from 'profile' or from 'model', not both; "
                           "remove one from the config")
+    with _naming(f"config field 'window' is {list(cfg.window)}"):
+        return _write_sample(args, cfg, kind)
+
+
+def _write_sample(args, cfg: ExperimentConfig, kind: str) -> int:
     model = cfg.resolve_profile() if cfg.profile is not None else cfg.resolve_model()
     sampler = sp.sample_cox if kind == "cox" else sp.sample_field
     boxes = cfg.disjoint_boxes(model.grid.n_cells)
@@ -247,7 +263,8 @@ def cmd_verify(args) -> int:
     if cfg.profile is not None:
         raise ConfigError("verify draws its own Poisson intensities; "
                           "remove 'profile' from the config")
-    results = run_battery(cfg)
+    with _naming(f"config field 'window' is {list(cfg.window)}"):
+        results = run_battery(cfg)
 
     lines = [json.dumps({"config_sha256": cfg.sha256(), "seed": cfg.seed},
                         sort_keys=True)]
@@ -334,7 +351,8 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="raise", invalid="raise"):
             if args.command == "matfun":
-                return cmd_matfun(args)
+                with _naming(f"matrix file {args.file}"):
+                    return cmd_matfun(args)
             if args.command in ("field", "cox"):
                 return cmd_sample(args, args.command)
             if args.command == "verify":

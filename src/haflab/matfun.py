@@ -45,18 +45,47 @@ def _check_cap(dim: int, cap: int, what: str) -> None:
         raise CapacityError(f"{what}: dimension {dim} exceeds limit {cap}")
 
 
-def _pair_sum(c: np.ndarray, remaining: tuple) -> complex:
-    # Sum over perfect pairings of `remaining`: always pair off the first
-    # index, recurse on the rest.  Summation order is fixed (partner index
-    # ascending) so results are bitwise reproducible.
-    if not remaining:
-        return 1.0 + 0.0j
-    i = remaining[0]
-    rest = remaining[1:]
-    acc = 0.0 + 0.0j
-    for t in range(len(rest)):
-        acc += c[i, rest[t]] * _pair_sum(c, rest[:t] + rest[t + 1 :])
-    return acc
+#: Largest dimension whose pairings (10 395 at 12) form one table.
+_ENUM_TABLE_MAX_DIM: Final = 12
+
+
+@lru_cache(maxsize=8)
+def _pairing_table(dim: int) -> np.ndarray:
+    """Every perfect pairing of ``range(dim)``, one per row, as the flat
+    indices ``i * dim + j`` (``i < j``) of its pairs.
+
+    Rows follow the enumeration that always pairs off the lowest index,
+    partners ascending, so the table never indexes the diagonal.  Read-only
+    ``intp`` array of shape ``((dim - 1)!!, dim // 2)``.
+    """
+    if dim == 0:
+        table = np.zeros((1, 0), dtype=np.intp)
+    else:
+        # pairs of the pairings of range(dim - 2) (one empty row at dim 2)
+        i, j = np.divmod(_pairing_table(dim - 2), max(dim - 2, 1))
+        blocks = []
+        for partner in range(1, dim):
+            rest = np.delete(np.arange(1, dim), partner - 1)
+            block = np.full((len(i), dim // 2), partner, dtype=np.intp)
+            block[:, 1:] = rest[i] * dim + rest[j]
+            blocks.append(block)
+        table = np.concatenate(blocks)
+    table.setflags(write=False)
+    return table
+
+
+def _enum_sum(c: np.ndarray) -> complex:
+    # Sum over pairings of c: one gather, row product and sum over the cached
+    # table, or, above _ENUM_TABLE_MAX_DIM, one such sum per partner of index
+    # 0, so no table or gather outgrows the dim-12 one.
+    dim = c.shape[0]
+    if dim <= _ENUM_TABLE_MAX_DIM:
+        return complex(c.ravel().take(_pairing_table(dim)).prod(axis=1).sum())
+    total = 0.0 + 0.0j
+    for partner in range(1, dim):
+        rest = np.delete(np.arange(1, dim), partner - 1)
+        total += c[0, partner] * _enum_sum(c[np.ix_(rest, rest)])
+    return total
 
 
 def hafnian_enum(matrix) -> complex:
@@ -68,7 +97,7 @@ def hafnian_enum(matrix) -> complex:
     dim = c.shape[0]
     _check_even(dim)
     _check_cap(dim, HAFNIAN_ENUM_MAX_DIM, "hafnian_enum")
-    return _pair_sum(c, tuple(range(dim)))
+    return _enum_sum(c)
 
 
 @lru_cache(maxsize=16)
@@ -173,19 +202,34 @@ def permanent(matrix) -> complex:
     return total if n % 2 == 0 else -total
 
 
-def _cycle_count(perm: tuple) -> int:
-    n = len(perm)
-    seen = [False] * n
-    cycles = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycles += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-    return cycles
+#: Permutations of at most this many entries form one table; larger
+#: ones are summed in blocks of 8! rows that share their leading entries.
+_PERM_TABLE_MAX_DIM: Final = 8
+
+
+@lru_cache(maxsize=16)
+def _perm_table(n: int) -> np.ndarray:
+    """All permutations of ``range(n)`` in lexicographic order, one per row
+    of a read-only ``intp`` array."""
+    table = np.array(list(permutations(range(n))), dtype=np.intp)
+    table.setflags(write=False)
+    return table
+
+
+def _cycle_counts(perms: np.ndarray) -> np.ndarray:
+    """Number of cycles of each permutation row.
+
+    Pointer doubling gives every entry the minimum of its orbit after
+    ceil(log2 n) steps; each cycle holds exactly one entry equal to it.
+    """
+    rows, n = perms.shape
+    entry = np.tile(np.arange(n, dtype=np.int8), rows)
+    image = (perms + n * np.arange(rows)[:, None]).ravel()   # flat position of perm[i]
+    low = entry
+    for _ in range((n - 1).bit_length()):
+        low = np.minimum(low, low.take(image))
+        image = image.take(image)
+    return np.count_nonzero((low == entry).reshape(rows, n), axis=1)
 
 
 def alpha_det(matrix, alpha: float) -> complex:
@@ -197,13 +241,15 @@ def alpha_det(matrix, alpha: float) -> complex:
     b = _as_square(matrix)
     n = b.shape[0]
     _check_cap(n, ALPHA_DET_MAX_DIM, "alpha_det")
-    if n == 0:
-        return 1.0 + 0.0j
+    tail = _perm_table(min(n, _PERM_TABLE_MAX_DIM))
     rows = np.arange(n)
     total = 0.0 + 0.0j
-    for perm in permutations(range(n)):
-        weight = alpha ** (n - _cycle_count(perm))
-        total += weight * np.prod(b[rows, perm])
+    for head in permutations(range(n), n - tail.shape[1]):
+        perms = np.empty((len(tail), n), dtype=np.intp)
+        perms[:, :len(head)] = head
+        perms[:, len(head):] = np.delete(rows, head)[tail]
+        weights = alpha ** (n - _cycle_counts(perms))
+        total += weights @ np.prod(b[rows, perms], axis=1)
     return total
 
 

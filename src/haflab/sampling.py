@@ -59,6 +59,8 @@ class MomentReport:
 
 #: Batches behind every Monte Carlo standard error.
 BATCHES = 100
+#: Samples ``field_moment_mc`` draws at a time: bounded memory.
+FIELD_CHUNK = 4096
 #: Most cell tuples, and most boxes, the hafnian quadrature takes.
 QUADRATURE_TUPLE_LIMIT = 200_000
 QUADRATURE_MAX_ORDER = 4
@@ -69,7 +71,11 @@ def _batch_stats(values: np.ndarray) -> tuple[float, float]:
     nb = min(BATCHES, values.size)
     if nb < 2:
         return float(np.mean(values)), 0.0
-    means = np.array([chunk.mean() for chunk in np.array_split(values, nb)])
+    # np.array_split's batches: the first size % nb are one sample longer
+    q, r = divmod(values.size, nb)
+    cut = r * (q + 1)
+    means = np.concatenate([values[:cut].reshape(r, q + 1).mean(axis=1),
+                            values[cut:].reshape(nb - r, q).mean(axis=1)])
     return float(values.mean()), float(means.std(ddof=1) / np.sqrt(nb))
 
 
@@ -170,8 +176,8 @@ def field_moment_mc(model: GaussianFieldModel, points, n_samples: int, seed) -> 
         raise PreconditionError("between 1 and 4 points (estimator variance grows fast)")
     rng = _as_rng(seed)
     values = np.empty(n_samples)
-    # Draw in the batch-sized chunks that _batch_stats averages: bounded memory.
-    for chunk in np.array_split(values, max(1, min(BATCHES, n_samples))):
+    for start in range(0, n_samples, FIELD_CHUNK):
+        chunk = values[start:start + FIELD_CHUNK]
         g = sample_field(model, rng, size=chunk.size)
         chunk[:] = np.prod(np.abs(g[:, pts]) ** 2, axis=1)
     value, se = _batch_stats(values)

@@ -403,6 +403,35 @@ def test_verify_huge_window_exit_2_without_traceback(tmp_path, capsys, doc):
     assert len(out.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, doc", [
+    (["verify"], {"window": [0, 1e150], "cells": 4}),
+    (["verify"], {"window": [0, 1e308], "cells": 2}),
+    (["cox", "sample"], {"window": [-1e308, 1e308], "cells": 2}),
+    (["field", "sample"], {"window": [-1e308, 1e308], "cells": 2}),
+], ids=["verify-1e150", "verify-1e308", "cox-sample", "field-sample"])
+def test_overflow_error_names_the_window(tmp_path, capsys, command, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    extra = ["--out", str(out_dir)] if command[0] != "verify" else []
+    code, out = run(*command, "--config", str(cfg), *extra, capsys=capsys)
+    assert code == 2
+    assert out.err.startswith("error: overflow encountered")
+    assert out.err.endswith(f"(config field 'window' is {doc['window']})\n")
+    assert len(out.err.splitlines()) == 1
+    assert not out_dir.exists()
+
+
+def test_matfun_overflow_error_names_the_file(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    write_matrix_text(path, np.full((8, 8), 1e80))
+    code, out = run("matfun", "haf", str(path), capsys=capsys)
+    assert code == 2
+    assert out.err.startswith("error: overflow encountered")
+    assert out.err.endswith(f"(matrix file {path})\n")
+    assert len(out.err.splitlines()) == 1
+
+
 def test_verify_negative_seed_flag_exit_2(capsys):
     code, out = run("verify", "--seed", "-1", capsys=capsys)
     assert code == 2

@@ -27,6 +27,22 @@ def perm_naive(b):
     return sum(np.prod(b[np.arange(n), p]) for p in permutations(range(n)))
 
 
+def alpha_det_reference(b, alpha):
+    """Per-permutation form of ``alpha_det``: cycles counted by walking
+    each orbit, one product per permutation."""
+    n = b.shape[0]
+    total = 0j
+    for p in permutations(range(n)):
+        seen, cycles = set(), 0
+        for start in range(n):
+            cycles += start not in seen
+            while start not in seen:
+                seen.add(start)
+                start = p[start]
+        total += alpha ** (n - cycles) * np.prod(b[np.arange(n), p])
+    return total
+
+
 def double_factorial(k):
     return math.prod(range(k, 0, -2))
 
@@ -67,7 +83,7 @@ def test_hafnian_2x2_is_offdiagonal():
 
 
 def test_hafnian_all_ones_counts_pairings():
-    for n2 in (2, 4, 6, 8):
+    for n2 in (2, 4, 6, 8, 10, 12):
         expected = double_factorial(n2 - 1)
         assert mf.hafnian_enum(np.ones((n2, n2))) == expected
         assert mf.hafnian_dp(np.ones((n2, n2))) == expected
@@ -97,6 +113,12 @@ def test_hafnian_cross_algorithm_12x12():
         c = mf.random_symmetric(12, rng)
         a, b = mf.hafnian_enum(c), mf.hafnian_dp(c)
         assert abs(a - b) <= 1e-10 * abs(b)
+
+
+def test_hafnian_enum_blocks_above_dim_12():
+    rng = np.random.default_rng(14)
+    c = mf.random_symmetric(14, rng)
+    assert mf.hafnian_enum(c) == pytest.approx(mf.hafnian_dp(c), rel=1e-10)
 
 
 def test_hafnian_diagonal_independence_bitwise():
@@ -195,6 +217,22 @@ def test_alpha_det_specializations():
         b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         assert mf.alpha_det(b, 1.0) == pytest.approx(mf.permanent(b), rel=1e-10)
         assert mf.alpha_det(b, -1.0) == pytest.approx(np.linalg.det(b), rel=1e-10)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_alpha_det_matches_per_permutation_reference(n):
+    rng = np.random.default_rng(300 + n)
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for alpha in (1.0, -1.0, 2.0, 0.5, 0.0):
+        assert mf.alpha_det(b, alpha) == pytest.approx(alpha_det_reference(b, alpha),
+                                                       rel=1e-12)
+
+
+def test_alpha_det_blocks_above_n_8():
+    rng = np.random.default_rng(9)
+    b = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    assert mf.alpha_det(b, 1.0) == pytest.approx(mf.permanent(b), rel=1e-10)
+    assert mf.alpha_det(b, -1.0) == pytest.approx(mf.determinant(b), rel=1e-10)
 
 
 def test_alpha_det_capacity():

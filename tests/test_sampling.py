@@ -14,6 +14,16 @@ GRID = kn.Grid.regular(0.0, 1.0, 5)
 MODELS = {name: kn.builtin_model(name, GRID) for name in kn.BUILTIN_NAMES}
 
 
+def batch_stats_reference(values):
+    """The loop form of ``sampling._batch_stats``: one mean per
+    ``np.array_split`` batch."""
+    nb = min(sp.BATCHES, values.size)
+    if nb < 2:
+        return float(np.mean(values)), 0.0
+    means = np.array([chunk.mean() for chunk in np.array_split(values, nb)])
+    return float(values.mean()), float(means.std(ddof=1) / np.sqrt(nb))
+
+
 def entrywise_z(draws_product, exact):
     se = draws_product.std(ddof=1) / np.sqrt(draws_product.size)
     if se == 0:
@@ -229,6 +239,24 @@ def test_field_moment_mc_matches_hafnian(name, pts):
     exact = hafnian_dp(kn.block_kernel(model, pts)).real
     assert abs(rep.value - exact) < 4 * rep.std_error
     assert rep.n_samples == 200_000
+
+
+@pytest.mark.parametrize("n", [1, 7, 99, 250, 4097, 40_000])
+def test_field_moment_mc_is_one_draw_bitwise(n):
+    # chunked draws read the generator stream in order, and each sample's
+    # row of the matrix product is computed on its own
+    for name, model in MODELS.items():
+        pts = [0, 2, 3]
+        rep = sp.field_moment_mc(model, pts, n, seed=77)
+        g = sp.sample_field(model, np.random.default_rng(77), size=n)
+        values = np.prod(np.abs(g[:, pts]) ** 2, axis=1)
+        assert (rep.value, rep.std_error) == batch_stats_reference(values), name
+
+
+@pytest.mark.parametrize("size", [1, 2, 99, 100, 101, 1001, 40_000])
+def test_batch_stats_match_array_split_bitwise(size):
+    values = np.random.default_rng(size).exponential(size=size)
+    assert sp._batch_stats(values) == batch_stats_reference(values)
 
 
 def test_field_moment_rejects_large_order():
