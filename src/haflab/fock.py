@@ -9,7 +9,9 @@ quadrature Sum_m vol_m A+(x_m) A-(x_m) reproduce occupation counts
 exactly.
 
 Operators are stored as sparse complex matrices over the enumerated
-states; index 0 is the vacuum.
+states; index 0 is the vacuum.  scipy.sparse is imported by the functions
+that assemble an operator, so the basis and the vacuum routes (`theta`,
+`moment`, `quasifree_T`) run on numpy alone.
 """
 
 from __future__ import annotations
@@ -17,12 +19,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import CapacityError, DimensionError, PreconditionError
 from .kernels import GaussianFieldModel, cell_indices, cell_set
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 #: Most boxes of a Wick polynomial, and the largest residual of either
 #: condition that `bogoliubov_check` passes.
@@ -129,10 +134,12 @@ class FockOperator:
 
 
 def identity(basis: FockBasis) -> FockOperator:
+    from scipy import sparse
     return FockOperator(basis, sparse.identity(basis.size, dtype=complex, format="csr"))
 
 
 def zero(basis: FockBasis) -> FockOperator:
+    from scipy import sparse
     return FockOperator(basis, sparse.csr_matrix((basis.size, basis.size), dtype=complex))
 
 
@@ -170,6 +177,7 @@ def _mode_vector(basis: FockBasis, g) -> np.ndarray:
 def _raising(basis: FockBasis, g) -> sparse.coo_matrix:
     """Sum_j g_j R_j, where R_j raises mode j with matrix element
     sqrt(n_j + 1) and drops transitions above the truncation."""
+    from scipy import sparse
     v = _mode_vector(basis, g)
     support = np.nonzero(v)[0]
     values = (v[support, None] * basis.raise_amp[support]).ravel()
@@ -195,18 +203,26 @@ def _ladder_op(basis: FockBasis, g, f, c) -> FockOperator:
 
 
 def _ladder_apply(basis: FockBasis, g, f, c, vec: np.ndarray) -> np.ndarray:
-    """(create(g) + annihilate(f) + c) vec, straight from the raising tables."""
-    src, dst, amp = basis.raise_src, basis.raise_dst, basis.raise_amp
+    """(create(g) + annihilate(f) + c) vec, straight from the raising tables.
+
+    States are ordered by total occupation, so the raising sources are a
+    prefix of the basis, and a vector whose last nonzero entry is at n - 1
+    meets only the first n of them, in either direction: a raised state
+    comes after its source.  (A zero vector reads as n = size.)
+    """
+    n = min(vec.size - int(np.argmax(vec[::-1] != 0)), basis.raise_src.size)
+    dst, amp = basis.raise_dst[:, :n], basis.raise_amp[:, :n]
     out = c * vec
     for j in np.nonzero(g)[0]:
-        out[dst[j]] += g[j] * amp[j] * vec[src]
+        out[dst[j]] += g[j] * amp[j] * vec[:n]
     support = np.nonzero(f)[0]
-    out[src] += f[support] @ (amp[support] * vec[dst[support]])
+    out[:n] += f[support] @ (amp[support] * vec[dst[support]])
     return out
 
 
 def neutral(basis: FockBasis, cells) -> FockOperator:
     """Diagonal operator counting total occupation in the given grid modes."""
+    from scipy import sparse
     idx = cell_set(cells, basis.n_grid)
     diag = basis.occupations[:, idx].sum(axis=1).astype(complex)
     return FockOperator(basis, sparse.diags(diag, format="csr", dtype=complex))

@@ -10,6 +10,7 @@ All arithmetic is complex double precision.
 from __future__ import annotations
 
 import time
+from cmath import isfinite
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -328,6 +329,8 @@ def read_matrix_text(path) -> np.ndarray:
         dim = int(raw[0])
     except ValueError as exc:
         raise HaflabError(f"{path}: first line must be the dimension") from exc
+    if dim < 0:
+        raise DimensionError(f"{path}: dimension must be at least 0, got {dim}")
     if len(raw) != dim + 1:
         raise DimensionError(f"{path}: expected {dim} rows, found {len(raw) - 1}")
     out = np.zeros((dim, dim), dtype=complex)
@@ -338,7 +341,10 @@ def read_matrix_text(path) -> np.ndarray:
         for j, cell in enumerate(cells):
             try:
                 re, im = cell.split(",")
-                out[i, j] = complex(float(re), float(im))
+                value = complex(float(re), float(im))
             except ValueError as exc:
                 raise HaflabError(f"{path}: bad entry {cell!r} at row {i}") from exc
+            if not isfinite(value):
+                raise HaflabError(f"{path}: entry {cell!r} at row {i}, column {j} is not finite")
+            out[i, j] = value
     return out

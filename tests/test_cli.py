@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import haflab
 from haflab import cli
 from haflab import kernels as kn
 from haflab.matfun import write_matrix_text
@@ -56,6 +60,31 @@ def test_matfun_bad_file_exit_2(tmp_path, capsys):
     code, out = run("matfun", "haf", str(bad), capsys=capsys)
     assert code == 2
     assert "error" in out.err
+
+
+@pytest.mark.parametrize("op", ["haf", "perm", "det", "alphadet"])
+@pytest.mark.parametrize("entry, where", [
+    ("nan,0", (0, 1)), ("0,inf", (0, 1)), ("-inf,0", (1, 0)), ("1e400,0", (0, 1)),
+    ("nan,0", (1, 1)),   # the hafnian ignores the diagonal; the reader does not
+])
+def test_matfun_non_finite_entry_exit_2(tmp_path, capsys, op, entry, where):
+    rows = [["0,0", "1,0"], ["1,0", "0,0"]]
+    rows[where[0]][where[1]] = entry
+    path = tmp_path / "m.txt"
+    path.write_text("2\n" + "\n".join(" ".join(row) for row in rows) + "\n")
+    code, out = run("matfun", op, str(path), capsys=capsys)
+    assert code == 2
+    assert out.out == ""
+    assert out.err == (f"error: {path}: entry {entry!r} at row {where[0]}, "
+                       f"column {where[1]} is not finite\n")
+
+
+def test_matfun_negative_dimension_exit_2(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("-1\n")
+    code, out = run("matfun", "haf", str(path), capsys=capsys)
+    assert code == 2
+    assert out.err == f"error: {path}: dimension must be at least 0, got -1\n"
 
 
 def test_cox_sample_empty_replicates(tmp_path, capsys):
@@ -513,3 +542,38 @@ def test_bench_times_each_algorithm_up_to_its_cap(capsys):
     code, out = run("bench", "--sizes", "26", "--reps", "1", capsys=capsys)
     assert code == 2
     assert "dimension 26 exceeds limit 24" in out.err
+
+
+# Run in a fresh interpreter, argv = (config, matrix file, output dir): the
+# sampling and matfun commands and the vacuum routes must not load
+# scipy.sparse, and the first operator assembly must.
+COLD_START = """
+import sys
+import numpy as np
+from haflab import cli, fock, kernels
+cfg, matrix, out = sys.argv[1:]
+assert cli.main(["cox", "sample", "--config", cfg, "--out", out + "/cox"]) == 0
+assert cli.main(["field", "sample", "--config", cfg, "--out", out + "/field"]) == 0
+assert cli.main(["matfun", "haf", matrix]) == 0
+model = kernels.builtin_model("real-gauss", kernels.Grid.regular(0.0, 1.0, 2),
+                              {"n_centers": 1})
+basis = fock.FockBasis(2, 1, 4)
+assert fock.theta(basis, model, [[0], [1]]).real > 0
+fock.quasifree_T(basis, model, [np.ones(2), np.arange(2.0)])
+assert "scipy.sparse" not in sys.modules, "scipy.sparse loaded before any operator"
+fock.create(basis, np.ones(3))
+assert "scipy.sparse" in sys.modules, "fock.create did not load scipy.sparse"
+"""
+
+
+def test_cold_start_loads_scipy_sparse_only_for_operators(tmp_path, swap_matrix):
+    # A subprocess, because this process has scipy.sparse from other tests.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"replicates": 5, "cells": 2,
+                               "model": {"builtin": "real-gauss",
+                                         "params": {"n_centers": 1}}}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(haflab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(cfg), swap_matrix,
+                           str(tmp_path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
