@@ -208,7 +208,10 @@ def _ladder_apply(basis: FockBasis, g, f, c, vec: np.ndarray) -> np.ndarray:
     States are ordered by total occupation, so the raising sources are a
     prefix of the basis, and a vector whose last nonzero entry is at n - 1
     meets only the first n of them, in either direction: a raised state
-    comes after its source.  (A zero vector reads as n = size.)
+    comes after its source.  (A zero vector reads as n = size.)  The
+    annihilation half is a multiply and a sum over the support, not a
+    BLAS product: OpenBLAS threads even this small product, which runs
+    slower when the other cores are busy.
     """
     n = min(vec.size - int(np.argmax(vec[::-1] != 0)), basis.raise_src.size)
     dst, amp = basis.raise_dst[:, :n], basis.raise_amp[:, :n]
@@ -216,7 +219,7 @@ def _ladder_apply(basis: FockBasis, g, f, c, vec: np.ndarray) -> np.ndarray:
     for j in np.nonzero(g)[0]:
         out[dst[j]] += g[j] * amp[j] * vec[:n]
     support = np.nonzero(f)[0]
-    out[:n] += f[support] @ (amp[support] * vec[dst[support]])
+    out[:n] += (f[support, None] * amp[support] * vec[dst[support]]).sum(axis=0)
     return out
 
 

@@ -169,20 +169,44 @@ def box_counts(patterns: np.ndarray, box) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def field_moment_mc(model: GaussianFieldModel, points, n_samples: int, seed) -> MomentReport:
-    """Monte Carlo mean of prod_i |G(x_{m_i})|^2 over the given points."""
-    pts = cell_indices(points, model.grid.n_cells)
+def _moment_points(points, n_cells: int) -> np.ndarray:
+    pts = cell_indices(points, n_cells)
     if pts.size < 1 or pts.size > 4:
         raise PreconditionError("between 1 and 4 points (estimator variance grows fast)")
+    return pts
+
+
+def _moment_values(draws: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    # one product per row: a sample's value never depends on the other rows
+    return np.prod(np.abs(draws[:, pts]) ** 2, axis=1)
+
+
+def _moment_report(pts: np.ndarray, values: np.ndarray) -> MomentReport:
+    value, se = _batch_stats(values)
+    label = "E prod |G|^2 at " + ",".join(map(str, pts.tolist()))
+    return MomentReport(label, value, se, values.size)
+
+
+def field_moment_from_draws(draws, points) -> MomentReport:
+    """Mean of prod_i |G(x_{m_i})|^2 over the rows of `draws`, a
+    (n_samples, M) array of field samples such as ``sample_field`` returns,
+    with the same batch standard error as ``field_moment_mc``."""
+    draws = np.atleast_2d(draws)
+    pts = _moment_points(points, draws.shape[1])
+    return _moment_report(pts, _moment_values(draws, pts))
+
+
+def field_moment_mc(model: GaussianFieldModel, points, n_samples: int, seed) -> MomentReport:
+    """Monte Carlo mean of prod_i |G(x_{m_i})|^2 over the given points,
+    drawn in chunks of FIELD_CHUNK samples: ``field_moment_from_draws`` of
+    one ``sample_field(model, seed, size=n_samples)`` draw, bit for bit."""
+    pts = _moment_points(points, model.grid.n_cells)
     rng = _as_rng(seed)
     values = np.empty(n_samples)
     for start in range(0, n_samples, FIELD_CHUNK):
         chunk = values[start:start + FIELD_CHUNK]
-        g = sample_field(model, rng, size=chunk.size)
-        chunk[:] = np.prod(np.abs(g[:, pts]) ** 2, axis=1)
-    value, se = _batch_stats(values)
-    label = "E prod |G|^2 at " + ",".join(map(str, pts.tolist()))
-    return MomentReport(label, value, se, n_samples)
+        chunk[:] = _moment_values(sample_field(model, rng, size=chunk.size), pts)
+    return _moment_report(pts, values)
 
 
 def quadrature_haf_moment(model: GaussianFieldModel, boxes, *,

@@ -10,6 +10,7 @@ single check are reported in its record without aborting the battery.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
@@ -175,8 +176,45 @@ def _matfun_checks(rng: np.random.Generator) -> list[CheckResult]:
             _residual("matfun/two-permanental-embedding", two, 1e-10)]
 
 
+def _field_mc_checks(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig,
+                     max_order: int, rng: np.random.Generator) -> list[CheckResult]:
+    # One field draw serves the covariance entry and every moment order; it
+    # is released on return, before the Fock checks.  If it fails, each of
+    # those checks records the error.
+    m_cells = model.grid.n_cells
+    try:
+        draws = sp.sample_field(model, rng, size=cfg.mc_samples)
+    except HaflabError as exc:
+        draws = exc
+
+    def field_draws() -> np.ndarray:
+        if isinstance(draws, HaflabError):
+            raise draws
+        return draws
+
+    def cov_mc():
+        g = field_draws()
+        prods = g[:, 0] * np.conj(g[:, m_cells - 1])
+        se = max(prods.real.std(), prods.imag.std()) / math.sqrt(cfg.mc_samples)
+        return _zscore(f"sampling/field-covariance-mc[{tag}]",
+                       float(np.abs(prods.mean() - model.k1[0, m_cells - 1])),
+                       0.0, float(se))
+    out = [_guard(f"sampling/field-covariance-mc[{tag}]", cov_mc)]
+
+    for n in range(1, max_order + 1):
+        pts = [(2 * j) % m_cells for j in range(n)]
+
+        def haf_mc(n=n, pts=pts):
+            rep = sp.field_moment_from_draws(field_draws(), pts)
+            exact = mf.hafnian_dp(kn.block_kernel(model, pts)).real
+            return _zscore(f"sampling/moment-vs-hafnian[{tag},n={n}]",
+                           rep.value, exact, rep.std_error)
+        out.append(_guard(f"sampling/moment-vs-hafnian[{tag},n={n}]", haf_mc))
+    return out
+
+
 def _model_checks(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig,
-                  max_order: int, rng: np.random.Generator) -> list[CheckResult]:
+                  max_order: int, rng: np.random.Generator, fock_basis) -> list[CheckResult]:
     out = []
     m_cells = model.grid.n_cells
     boxes2 = cfg.disjoint_boxes(m_cells)
@@ -196,25 +234,8 @@ def _model_checks(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig,
                          float(np.abs(cov - cov.T).max()), 1e-12)
     out.append(_guard(f"sampling/augmented-symmetry[{tag}]", psd_check))
 
-    # Monte Carlo: empirical covariance entry, moment vs hafnian, Cox moment
-    def cov_mc():
-        draws = sp.sample_field(model, rng, size=cfg.mc_samples)
-        prods = draws[:, 0] * np.conj(draws[:, m_cells - 1])
-        se = max(prods.real.std(), prods.imag.std()) / math.sqrt(cfg.mc_samples)
-        return _zscore(f"sampling/field-covariance-mc[{tag}]",
-                       float(np.abs(prods.mean() - model.k1[0, m_cells - 1])),
-                       0.0, float(se))
-    out.append(_guard(f"sampling/field-covariance-mc[{tag}]", cov_mc))
-
-    for n in range(1, max_order + 1):
-        pts = [(2 * j) % m_cells for j in range(n)]
-
-        def haf_mc(n=n, pts=pts):
-            rep = sp.field_moment_mc(model, pts, cfg.mc_samples, rng)
-            exact = mf.hafnian_dp(kn.block_kernel(model, pts)).real
-            return _zscore(f"sampling/moment-vs-hafnian[{tag},n={n}]",
-                           rep.value, exact, rep.std_error)
-        out.append(_guard(f"sampling/moment-vs-hafnian[{tag},n={n}]", haf_mc))
+    # Monte Carlo: field covariance and moments vs hafnians, Cox moment
+    out.extend(_field_mc_checks(tag, model, cfg, max_order, rng))
 
     def cox_mc():
         pats = sp.sample_cox(model, rng, size=cfg.replicates)
@@ -227,7 +248,7 @@ def _model_checks(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig,
     # Exact identities in the truncated representation
     def fock_checks():
         res = []
-        basis = fk.FockBasis(m_cells, model.feature_dim, cfg.truncation)
+        basis = fock_basis(m_cells, model.feature_dim)
         for n in range(1, max_order + 1):
             boxes = [[j] for j in range(n)] if n > 1 else [list(range(m_cells))]
             res.append(_residual(f"fock/theta-vs-quadrature[{tag},n={n}]",
@@ -257,7 +278,8 @@ def _model_checks(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig,
     return out
 
 
-def _poisson_checks(cfg: ExperimentConfig, rng: np.random.Generator) -> list[CheckResult]:
+def _poisson_checks(cfg: ExperimentConfig, rng: np.random.Generator,
+                    fock_basis) -> list[CheckResult]:
     grid = kn.Grid.regular(*cfg.window, max(2, cfg.cells))
     profile = kn.intensity_profile(grid, _complex_normal(rng, grid.n_cells))
     rate = np.abs(profile.mean) ** 2 * grid.volumes
@@ -268,7 +290,7 @@ def _poisson_checks(cfg: ExperimentConfig, rng: np.random.Generator) -> list[Che
                          emp.std_error)
 
     def theta_closed():
-        basis = fk.FockBasis(grid.n_cells, 0, cfg.truncation)
+        basis = fock_basis(grid.n_cells, 0)
         worst = max((poisson_theta_gap(basis, profile, [[j % grid.n_cells] for j in range(n)])
                      for n in range(1, min(3, cfg.truncation // 2) + 1)), default=0.0)
         return _residual("poisson/theta-closed-form", worst, 1e-10)
@@ -292,8 +314,13 @@ def run_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     entries = (cfg.models if cfg.models is not None
                else [cfg.model] if cfg.model is not None else DEFAULT_MODELS)
     models = [kn.model_entry(entry, grid) for entry in entries]
+
+    @functools.cache   # one basis per shape, built when a check first needs it
+    def fock_basis(n_grid: int, n_feature: int) -> fk.FockBasis:
+        return fk.FockBasis(n_grid, n_feature, cfg.truncation)
+
     results = _matfun_checks(rng)
     for tag, model in models:
-        results.extend(_model_checks(tag, model, cfg, max_order, rng))
-    results.extend(_poisson_checks(cfg, rng))
+        results.extend(_model_checks(tag, model, cfg, max_order, rng, fock_basis))
+    results.extend(_poisson_checks(cfg, rng, fock_basis))
     return results

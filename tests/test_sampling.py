@@ -251,6 +251,8 @@ def test_field_moment_mc_is_one_draw_bitwise(n):
         g = sp.sample_field(model, np.random.default_rng(77), size=n)
         values = np.prod(np.abs(g[:, pts]) ** 2, axis=1)
         assert (rep.value, rep.std_error) == batch_stats_reference(values), name
+        # the estimator verify runs on its one shared draw
+        assert sp.field_moment_from_draws(g, pts) == rep, name
 
 
 @pytest.mark.parametrize("size", [1, 2, 99, 100, 101, 1001, 40_000])
@@ -262,6 +264,8 @@ def test_batch_stats_match_array_split_bitwise(size):
 def test_field_moment_rejects_large_order():
     with pytest.raises(PreconditionError):
         sp.field_moment_mc(MODELS["real-gauss"], [0, 1, 2, 3, 4], 10, seed=0)
+    with pytest.raises(PreconditionError):
+        sp.field_moment_from_draws(np.ones((10, 5)), [0, 1, 2, 3, 4])
 
 
 def test_quadrature_single_box_is_intensity():

@@ -3,14 +3,18 @@ tests must see a wrong route: scaling one route by 1 + EPS (or adding a
 defect of size EPS) has to move the reported gap by that much, so a
 function that always returned 0 would fail here."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from haflab import cli
 from haflab import fock as fk
 from haflab import kernels as kn
 from haflab import matfun as mf
+from haflab import sampling as sp
 from haflab import verify as vf
-from haflab.errors import CapacityError
+from haflab.errors import CapacityError, ModelError
 
 EPS = 1e-6
 
@@ -162,3 +166,76 @@ def test_growth_bound_overflow_is_a_capacity_error():
     big = kn.field_model(grid, [[2.35e51, 2.35e51]], [[2.35e51, 2.35e51]])
     with pytest.raises(CapacityError, match="overflows a float"):
         vf.growth_bound(big, [0, 1], 3)
+
+
+def test_moment_checks_share_one_draw_and_keep_their_power(monkeypatch):
+    # Every moment order reads the covariance check's draw, so the orders'
+    # errors are correlated, but each z-test is unchanged: shifting the
+    # estimate by DELTA * value moves z by DELTA * value / SE, either way.
+    cfg = cli.ExperimentConfig()
+    draws, reports = [], {}
+    sample_field, estimate = sp.sample_field, sp.field_moment_from_draws
+
+    def counted(model, seed, size=None):
+        if size == cfg.mc_samples:
+            draws.append(model)
+        return sample_field(model, seed, size)
+
+    def shifted(delta):
+        def patched(g, pts):
+            rep = estimate(g, pts)
+            reports.setdefault(delta, []).append(rep)
+            return dataclasses.replace(rep, value=rep.value * (1 + delta))
+        return patched
+
+    DELTA = 0.25
+    monkeypatch.setattr(sp, "sample_field", counted)
+    z = {}
+    for delta in (0.0, DELTA, -DELTA):
+        monkeypatch.setattr(sp, "field_moment_from_draws", shifted(delta))
+        lines = [r for r in vf.run_battery(cfg)
+                 if r.name.startswith("sampling/moment-vs-hafnian")]
+        z[delta] = [r.statistic for r in lines]
+        assert all(r.passed for r in lines) == (delta == 0.0)
+    assert len(draws) == 3 * len(vf.DEFAULT_MODELS)   # one per model per run
+    assert len(z[0.0]) == 2 * len(vf.DEFAULT_MODELS)
+    for i, rep in enumerate(reports[0.0]):
+        assert reports[DELTA][i] == reports[-DELTA][i] == rep
+        shift = DELTA * rep.value / rep.std_error
+        assert shift > z[0.0][i] + 4.0   # both shifted estimates fail the test
+        assert z[DELTA][i] + z[-DELTA][i] == pytest.approx(2 * shift, rel=1e-9)
+        assert abs(z[DELTA][i] - z[-DELTA][i]) == pytest.approx(2 * z[0.0][i], rel=1e-6)
+
+
+def test_a_failed_field_draw_is_recorded_on_each_of_its_checks(monkeypatch):
+    sample_field = sp.sample_field
+
+    def broken(model, seed, size=None):
+        if model.feature_dim:   # the Poisson profile still draws
+            raise ModelError("augmented covariance is broken")
+        return sample_field(model, seed, size)
+    monkeypatch.setattr(sp, "sample_field", broken)
+    cfg = cli.ExperimentConfig()
+    results = {r.name: r for r in vf.run_battery(cfg)}
+    assert len(results) == 61
+    for entry in vf.DEFAULT_MODELS:
+        tag = entry["builtin"]
+        names = [f"sampling/field-covariance-mc[{tag}]", f"sampling/cox-product-moment[{tag}]"]
+        names += [f"sampling/moment-vs-hafnian[{tag},n={n}]" for n in (1, 2)]
+        for name in names:
+            assert not results[name].passed
+            assert results[name].error == "augmented covariance is broken"
+    assert sum(r.passed for r in results.values()) == 61 - 4 * len(vf.DEFAULT_MODELS)
+
+
+def test_battery_builds_one_fock_basis_per_shape(monkeypatch):
+    shapes = []
+    original = fk.FockBasis
+
+    def counted(n_grid, n_feature, truncation):
+        shapes.append((n_grid, n_feature, truncation))
+        return original(n_grid, n_feature, truncation)
+    monkeypatch.setattr(fk, "FockBasis", counted)
+    assert all(r.passed for r in vf.run_battery(cli.ExperimentConfig()))
+    # the three default models share (3, 2, 6); the Poisson profile has no features
+    assert shapes == [(3, 2, 6), (3, 0, 6)]
