@@ -84,6 +84,7 @@ class ExperimentConfig:
             raise ConfigError(f"config field 'window' must have finite ends with lo < hi, "
                               f"got {[float(lo), float(hi)]}")
         _check_ranges(("'replicates'", cfg.replicates, 0), ("'seed'", cfg.seed, 0),
+                      ("'truncation'", cfg.truncation, 0),
                       ("'mc_samples'", cfg.mc_samples, 1), ("'max_order'", cfg.max_order, 1),
                       ("each 'orders' entry", min(cfg.orders or [1]), 1))
         return cfg

@@ -82,7 +82,9 @@ class FockBasis:
         return len(self.states)
 
     def safe_indices(self, margin: int) -> np.ndarray:
-        """States whose total occupation is at most truncation - margin."""
+        """States whose total occupation is at most truncation - margin (none: a CapacityError)."""
+        if margin > self.truncation:
+            raise CapacityError(f"margin {margin} leaves no state at truncation {self.truncation}")
         return np.nonzero(self.totals <= self.truncation - margin)[0]
 
     def vacuum(self) -> np.ndarray:

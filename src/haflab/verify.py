@@ -3,9 +3,11 @@
 Each identity is one public function that takes its inputs and returns
 the gap between two routes to the same number; the battery and the
 acceptance tests both call these, each with its own draws and tolerances.
-Each check produces one record with a residual (or a z-score for Monte
-Carlo comparisons), its tolerance, and a pass flag.  Capacity errors in a
-single check are reported in its record without aborting the battery.
+
+The battery is a table of checks, each a name and a thunk returning its
+residual (or Monte Carlo z-score), tolerance and pass flag.  One runner
+makes one record per entry, and an error a thunk raises fills its record
+alone; an input several checks read fails on each line that reads it.
 """
 
 from __future__ import annotations
@@ -45,25 +47,6 @@ class CheckResult:
 
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
-
-
-def _residual(name: str, value: float, tol: float) -> CheckResult:
-    return CheckResult(name, bool(value <= tol), float(value), tol, "residual")
-
-
-def _zscore(name: str, value: float, target: float, se: float,
-            z_max: float = 4.0) -> CheckResult:
-    z = abs(value - target) / se if se > 0 else (0.0 if value == target else math.inf)
-    return CheckResult(name, bool(z <= z_max), float(z), z_max, "z-score")
-
-
-def _guard(name: str, fn) -> CheckResult:
-    try:
-        return fn()
-    except CapacityError as exc:
-        return CheckResult(name, False, error=f"capacity: {exc}")
-    except HaflabError as exc:
-        return CheckResult(name, False, error=str(exc))
 
 
 def _rel(value, reference, floor: float = 1e-300) -> float:
@@ -150,151 +133,158 @@ def growth_ratio(basis: fk.FockBasis, model: kn.GaussianFieldModel, box, n: int)
     return grow / bound if bound > 0 else (0.0 if grow <= 0 else math.inf)
 
 
+# A check's outcome is CheckResult's fields after the name: passed, statistic, tolerance[, kind].
+def _residual(value: float, tol: float) -> tuple:
+    return bool(value <= tol), float(value), tol
+
+
+def _zscore(value: float, target: float, se: float, z_max: float = 4.0) -> tuple:
+    z = abs(value - target) / se if se > 0 else (0.0 if value == target else math.inf)
+    return bool(z <= z_max), float(z), z_max, "z-score"
+
+
+def _run(name: str, thunk) -> CheckResult:
+    """One check's record: the outcome of `thunk()`, or the HaflabError it raised."""
+    try:
+        return CheckResult(name, *thunk())
+    except CapacityError as exc:
+        return CheckResult(name, False, error=f"capacity: {exc}")
+    except HaflabError as exc:
+        return CheckResult(name, False, error=str(exc))
+
+
+def _shared(compute):
+    """An input several checks read: computed on first read, its error re-raised on each."""
+    memo = []
+
+    def read():
+        if not memo:
+            try:
+                memo.append(compute())
+            except HaflabError as exc:
+                memo.append(exc)
+        if isinstance(memo[0], HaflabError):
+            raise memo[0]
+        return memo[0]
+    return read
+
+
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _matfun_checks(rng: np.random.Generator) -> list[CheckResult]:
-    haf = perm = det = emb = two = 0.0
-    for _ in range(20):
-        haf = max(haf, hafnian_gap(mf.random_symmetric(int(rng.integers(2, 6)) * 2, rng)))
-    for _ in range(10):
-        n = int(rng.integers(2, 7))
-        gaps = alpha_det_gaps(_complex_normal(rng, (n, n)))
-        perm, det = max(perm, gaps[0]), max(det, gaps[1])
-    for _ in range(5):
-        n = int(rng.integers(2, 5))
-        emb = max(emb, permanental_embedding_gap(_complex_normal(rng, (n, n))))
-    for _ in range(5):
-        n = int(rng.integers(2, 5))
-        sym = rng.standard_normal((n, n))
-        two = max(two, two_permanental_gap((sym + sym.T) / 2))
-    return [_residual("matfun/hafnian-oracle-equivalence", haf, 1e-10),
-            _residual("matfun/alpha-det-is-permanent", perm, 1e-10),
-            _residual("matfun/alpha-det-is-determinant", det, 1e-10),
-            _residual("matfun/permanental-embedding", emb, 1e-10),
-            _residual("matfun/two-permanental-embedding", two, 1e-10)]
+def _matfun_table(rng: np.random.Generator) -> list:
+    def worst_gaps():
+        haf = perm = det = emb = two = 0.0
+        for _ in range(20):
+            haf = max(haf, hafnian_gap(mf.random_symmetric(int(rng.integers(2, 6)) * 2, rng)))
+        for _ in range(10):
+            n = int(rng.integers(2, 7))
+            gaps = alpha_det_gaps(_complex_normal(rng, (n, n)))
+            perm, det = max(perm, gaps[0]), max(det, gaps[1])
+        for _ in range(5):
+            n = int(rng.integers(2, 5))
+            emb = max(emb, permanental_embedding_gap(_complex_normal(rng, (n, n))))
+        for _ in range(5):
+            n = int(rng.integers(2, 5))
+            sym = rng.standard_normal((n, n))
+            two = max(two, two_permanental_gap((sym + sym.T) / 2))
+        return haf, perm, det, emb, two
+    gaps = _shared(worst_gaps)
+    return [(f"matfun/{name}", lambda i=i: _residual(gaps()[i], 1e-10)) for i, name in enumerate((
+        "hafnian-oracle-equivalence", "alpha-det-is-permanent", "alpha-det-is-determinant",
+        "permanental-embedding", "two-permanental-embedding"))]
 
 
-def _field_mc_checks(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig,
-                     max_order: int, rng: np.random.Generator) -> list[CheckResult]:
-    # One field draw serves the covariance entry and every moment order; it
-    # is released on return, before the Fock checks.  If it fails, each of
-    # those checks records the error.
+def _asymmetry(a: np.ndarray) -> float:
+    return float(np.abs(a - a.T).max())
+
+
+def _field_table(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig,
+                 max_order: int, rng: np.random.Generator) -> list:
     m_cells = model.grid.n_cells
-    try:
-        draws = sp.sample_field(model, rng, size=cfg.mc_samples)
-    except HaflabError as exc:
-        draws = exc
+    # One field draw serves the covariance entry and every moment order.
+    draws = _shared(lambda: sp.sample_field(model, rng, size=cfg.mc_samples))
 
-    def field_draws() -> np.ndarray:
-        if isinstance(draws, HaflabError):
-            raise draws
-        return draws
-
-    def cov_mc():
-        g = field_draws()
+    def field_covariance():
+        g = draws()
         prods = g[:, 0] * np.conj(g[:, m_cells - 1])
         se = max(prods.real.std(), prods.imag.std()) / math.sqrt(cfg.mc_samples)
-        return _zscore(f"sampling/field-covariance-mc[{tag}]",
-                       float(np.abs(prods.mean() - model.k1[0, m_cells - 1])),
-                       0.0, float(se))
-    out = [_guard(f"sampling/field-covariance-mc[{tag}]", cov_mc)]
+        return _zscore(float(np.abs(prods.mean() - model.k1[0, m_cells - 1])), 0.0, float(se))
 
-    for n in range(1, max_order + 1):
+    def moment_vs_hafnian(n):
         pts = [(2 * j) % m_cells for j in range(n)]
+        rep = sp.field_moment_from_draws(draws(), pts)
+        return _zscore(rep.value, mf.hafnian_dp(kn.block_kernel(model, pts)).real, rep.std_error)
+    return [
+        (f"kernels/feature-conditions[{tag}]",
+         lambda: _residual(len(kn.validate_features(model.l1, model.l2)), 0.0)),
+        (f"kernels/k1-psd[{tag}]", lambda: _residual(
+            max(0.0, -float(np.linalg.eigvalsh(model.k1).min())),
+            1e-10 * max(1.0, float(np.abs(model.k1).max())))),
+        (f"kernels/k2-symmetry[{tag}]", lambda: _residual(_asymmetry(model.k2), 1e-10)),
+        (f"sampling/augmented-symmetry[{tag}]",
+         lambda: _residual(_asymmetry(sp.augmented_covariance(model)), 1e-12)),
+        (f"sampling/field-covariance-mc[{tag}]", field_covariance),
+        *((f"sampling/moment-vs-hafnian[{tag},n={n}]", functools.partial(moment_vs_hafnian, n))
+          for n in range(1, max_order + 1)),
+    ]
 
-        def haf_mc(n=n, pts=pts):
-            rep = sp.field_moment_from_draws(field_draws(), pts)
-            exact = mf.hafnian_dp(kn.block_kernel(model, pts)).real
-            return _zscore(f"sampling/moment-vs-hafnian[{tag},n={n}]",
-                           rep.value, exact, rep.std_error)
-        out.append(_guard(f"sampling/moment-vs-hafnian[{tag},n={n}]", haf_mc))
-    return out
 
-
-def _model_checks(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig,
-                  max_order: int, rng: np.random.Generator, fock_basis) -> list[CheckResult]:
-    out = []
+def _process_table(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig,
+                   max_order: int, rng: np.random.Generator, fock_basis) -> list:
     m_cells = model.grid.n_cells
     boxes2 = cfg.disjoint_boxes(m_cells)
+    basis = functools.partial(fock_basis, m_cells, model.feature_dim)
+    # overlapping boxes: both contain cell 0
+    rho = _shared(lambda: rho_defects(basis(), model, {*boxes2[0], 0}, {*boxes2[1], 0}))
+    quasifree = _shared(lambda: quasifree_gaps(
+        basis(), model, [_complex_normal(rng, m_cells) for _ in range(4)]))
 
-    viol = kn.validate_features(model.l1, model.l2)
-    out.append(CheckResult(f"kernels/feature-conditions[{tag}]", not viol,
-                           float(len(viol)), 0.0))
-    eigs = np.linalg.eigvalsh(model.k1)
-    out.append(_residual(f"kernels/k1-psd[{tag}]", max(0.0, -float(eigs.min())),
-                         1e-10 * max(1.0, float(np.abs(model.k1).max()))))
-    out.append(_residual(f"kernels/k2-symmetry[{tag}]",
-                         float(np.abs(model.k2 - model.k2.T).max()), 1e-10))
-
-    def psd_check():
-        cov = sp.augmented_covariance(model)
-        return _residual(f"sampling/augmented-symmetry[{tag}]",
-                         float(np.abs(cov - cov.T).max()), 1e-12)
-    out.append(_guard(f"sampling/augmented-symmetry[{tag}]", psd_check))
-
-    # Monte Carlo: field covariance and moments vs hafnians, Cox moment
-    out.extend(_field_mc_checks(tag, model, cfg, max_order, rng))
-
-    def cox_mc():
-        pats = sp.sample_cox(model, rng, size=cfg.replicates)
-        emp = sp.empirical_product_moment(pats, boxes2)
+    def cox_product_moment():
+        emp = sp.empirical_product_moment(sp.sample_cox(model, rng, size=cfg.replicates), boxes2)
         quad = sp.quadrature_haf_moment(model, boxes2)
-        return _zscore(f"sampling/cox-product-moment[{tag}]",
-                       emp.value, quad.value, emp.std_error)
-    out.append(_guard(f"sampling/cox-product-moment[{tag}]", cox_mc))
+        return _zscore(emp.value, quad.value, emp.std_error)
 
-    # Exact identities in the truncated representation
-    def fock_checks():
-        res = []
-        basis = fock_basis(m_cells, model.feature_dim)
-        for n in range(1, max_order + 1):
-            boxes = [[j] for j in range(n)] if n > 1 else [list(range(m_cells))]
-            res.append(_residual(f"fock/theta-vs-quadrature[{tag},n={n}]",
-                                 theta_gap(basis, model, boxes), 1e-9))
-        # overlapping boxes: both contain cell 0
-        comm, herm = rho_defects(basis, model, set(boxes2[0]) | {0},
-                                 set(boxes2[1]) | {0})
-        res.append(_residual(f"fock/rho-commutation[{tag}]", comm, 1e-10))
-        res.append(_residual(f"fock/rho-hermiticity[{tag}]", herm, 1e-13))
-        t1, t3, pairing = quasifree_gaps(
-            basis, model, [_complex_normal(rng, m_cells) for _ in range(4)])
-        res.append(_residual(f"fock/quasifree-T1[{tag}]", t1, 1e-10))
-        res.append(_residual(f"fock/quasifree-T3[{tag}]", t3, 1e-10))
-        res.append(_residual(f"fock/quasifree-T4-pairing[{tag}]", pairing, 1e-9))
-        box = list(range(m_cells))
-        for n in range(1, min(3, cfg.truncation // 2) + 1):
-            ratio = growth_ratio(basis, model, box, n)
-            res.append(CheckResult(f"fock/growth-bound[{tag},n={n}]",
-                                   bool(ratio <= 1 + 1e-12), float(ratio), 1.0))
-        return res
+    def theta_vs_quadrature(n):
+        boxes = [[j] for j in range(n)] if n > 1 else [list(range(m_cells))]
+        return _residual(theta_gap(basis(), model, boxes), 1e-9)
 
-    try:
-        out.extend(fock_checks())
-    except CapacityError as exc:
-        out.append(CheckResult(f"fock/identities[{tag}]", False,
-                               error=f"capacity: {exc}"))
-    return out
+    def growth(n):
+        ratio = growth_ratio(basis(), model, list(range(m_cells)), n)
+        return bool(ratio <= 1 + 1e-12), float(ratio), 1.0
+    return [
+        (f"sampling/cox-product-moment[{tag}]", cox_product_moment),
+        *((f"fock/theta-vs-quadrature[{tag},n={n}]", functools.partial(theta_vs_quadrature, n))
+          for n in range(1, max_order + 1)),
+        (f"fock/rho-commutation[{tag}]", lambda: _residual(rho()[0], 1e-10)),
+        (f"fock/rho-hermiticity[{tag}]", lambda: _residual(rho()[1], 1e-13)),
+        (f"fock/quasifree-T1[{tag}]", lambda: _residual(quasifree()[0], 1e-10)),
+        (f"fock/quasifree-T3[{tag}]", lambda: _residual(quasifree()[1], 1e-10)),
+        (f"fock/quasifree-T4-pairing[{tag}]", lambda: _residual(quasifree()[2], 1e-9)),
+        *((f"fock/growth-bound[{tag},n={n}]", functools.partial(growth, n))
+          for n in range(1, min(3, cfg.truncation // 2) + 1)),
+    ]
 
 
-def _poisson_checks(cfg: ExperimentConfig, rng: np.random.Generator,
-                    fock_basis) -> list[CheckResult]:
-    grid = kn.Grid.regular(*cfg.window, max(2, cfg.cells))
-    profile = kn.intensity_profile(grid, _complex_normal(rng, grid.n_cells))
-    rate = np.abs(profile.mean) ** 2 * grid.volumes
+def _poisson_table(cfg: ExperimentConfig, rng: np.random.Generator, fock_basis) -> list:
+    cells = max(2, cfg.cells)
+    profile = _shared(lambda: kn.intensity_profile(
+        kn.Grid.regular(*cfg.window, cells), _complex_normal(rng, cells)))
 
-    pats = sp.sample_cox(profile, rng, size=cfg.replicates)
-    emp = sp.empirical_product_moment(pats, [list(range(grid.n_cells))])
-    mean_count = _zscore("poisson/mean-count-mc", emp.value, float(rate.sum()),
-                         emp.std_error)
+    def mean_count():
+        rate = np.abs(profile().mean) ** 2 * profile().grid.volumes
+        emp = sp.empirical_product_moment(sp.sample_cox(profile(), rng, size=cfg.replicates),
+                                          [list(range(cells))])
+        return _zscore(emp.value, float(rate.sum()), emp.std_error)
 
-    def theta_closed():
-        basis = fock_basis(grid.n_cells, 0)
-        worst = max((poisson_theta_gap(basis, profile, [[j % grid.n_cells] for j in range(n)])
+    def theta_closed_form():
+        basis = fock_basis(cells, 0)
+        worst = max((poisson_theta_gap(basis, profile(), [[j % cells] for j in range(n)])
                      for n in range(1, min(3, cfg.truncation // 2) + 1)), default=0.0)
-        return _residual("poisson/theta-closed-form", worst, 1e-10)
-    return [mean_count, _guard("poisson/theta-closed-form", theta_closed)]
+        return _residual(worst, 1e-10)
+    return [("poisson/mean-count-mc", mean_count),
+            ("poisson/theta-closed-form", theta_closed_form)]
 
 
 def run_battery(cfg: ExperimentConfig) -> list[CheckResult]:
@@ -319,8 +309,12 @@ def run_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     def fock_basis(n_grid: int, n_feature: int) -> fk.FockBasis:
         return fk.FockBasis(n_grid, n_feature, cfg.truncation)
 
-    results = _matfun_checks(rng)
-    for tag, model in models:
-        results.extend(_model_checks(tag, model, cfg, max_order, rng, fock_basis))
-    results.extend(_poisson_checks(cfg, rng, fock_basis))
-    return results
+    # The tables in run order, each built after the one before has run and
+    # dropped after it, so a model's field draw is freed before its Cox and Fock checks.
+    def tables():
+        yield _matfun_table(rng)
+        for tag, model in models:
+            yield _field_table(tag, model, cfg, max_order, rng)
+            yield _process_table(tag, model, cfg, max_order, rng, fock_basis)
+        yield _poisson_table(cfg, rng, fock_basis)
+    return [_run(name, thunk) for table in tables() for name, thunk in table]

@@ -345,6 +345,22 @@ def test_cox_sample_oversized_rate_exit_2(tmp_path, capsys, doc):
     assert len(out.err.splitlines()) == 1
 
 
+def test_verify_oversized_rate_fails_only_the_lines_that_sample(tmp_path, capsys):
+    # `cox sample` stops at a rate numpy cannot draw; verify records the
+    # error on each line that draws Poisson counts and runs every other line
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"window": [0, 1e20], "cells": 2}))
+    code, out = run("verify", "--config", str(cfg), capsys=capsys)
+    lines = out.out.splitlines()
+    assert code == 1 and out.err == ""
+    assert len(lines) == 62 and lines[-1].endswith("/61 checks passed")
+    drawing = [line for line in lines if line.split()[1] == "poisson/mean-count-mc"
+               or line.split()[1].startswith("sampling/cox-product-moment[")]
+    assert len(drawing) == 4
+    for line in drawing:
+        assert line.startswith("FAIL ") and " capacity: largest Poisson rate " in line
+
+
 def test_verify_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
@@ -389,7 +405,7 @@ def test_verify_unknown_config_key(tmp_path, capsys):
     ({"window": [0, 1e400]}, "'window' must have finite ends with lo < hi, got [0.0, inf]"),
     ({"window": [-1e400, 0]}, "'window' must have finite ends with lo < hi, got [-inf, 0.0]"),
     ({"window": [2.0, 2.0]}, "'window' must have finite ends with lo < hi, got [2.0, 2.0]"),
-    ({"window": [0, 1e20], "cells": 2}, "largest Poisson rate"),
+    ({"truncation": -1}, "'truncation' must be at least 0, got -1"),
     ({"cells": 1}, "verify needs at least 2 cells for moment order 2, got 'cells' 1"),
     ({"cells": 2, "max_order": 3},
      "verify needs at least 3 cells for moment order 3, got 'cells' 2"),

@@ -54,6 +54,22 @@ def test_safe_indices(plain_basis):
     assert all(plain_basis.totals[i] <= 3 for i in idx)
 
 
+def test_empty_domain_is_a_capacity_error():
+    # margin 4 leaves no state at truncation 3: a commutator read there
+    # would be the empty maximum 0.0 and pass without checking anything
+    op = fk.identity(fk.FockBasis(3, 2, 3))
+    with pytest.raises(CapacityError, match="margin 4 leaves no state at truncation 3"):
+        fk.max_abs_on_domain(op, 4)
+    assert fk.max_abs_on_domain(op, 3) == 1.0
+
+
+def test_empty_hermiticity_block_is_a_capacity_error():
+    op = fk.identity(fk.FockBasis(3, 2, 1))
+    with pytest.raises(CapacityError, match="margin 2 leaves no state at truncation 1"):
+        fk.hermiticity_defect(op, 2)
+    assert fk.hermiticity_defect(op, 1) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # ladder operators
 # ---------------------------------------------------------------------------

@@ -239,3 +239,34 @@ def test_battery_builds_one_fock_basis_per_shape(monkeypatch):
     assert all(r.passed for r in vf.run_battery(cli.ExperimentConfig()))
     # the three default models share (3, 2, 6); the Poisson profile has no features
     assert shapes == [(3, 2, 6), (3, 0, 6)]
+
+
+def test_default_battery_names_are_unique():
+    names = [r.name for r in vf.run_battery(cli.ExperimentConfig())]
+    assert len(names) == len(set(names)) == 61
+
+
+def test_each_fock_check_has_its_own_record_below_its_truncation():
+    # truncation 3 fits theta and the growth bound at n = 1, which pass;
+    # each Fock line records its own outcome
+    results = vf.run_battery(cli.ExperimentConfig(truncation=3))
+    by_name = {r.name: r for r in results}
+    assert len(results) == len(by_name) == 55
+    assert not any(name.startswith("fock/identities") for name in by_name)
+    for entry in vf.DEFAULT_MODELS:
+        tag = entry["builtin"]
+        # the margin-4 commutation domain is empty: a capacity error, not a pass
+        assert by_name[f"fock/rho-commutation[{tag}]"].error.startswith("capacity: ")
+        assert by_name[f"fock/theta-vs-quadrature[{tag},n=1]"].passed
+        assert by_name[f"fock/growth-bound[{tag},n=1]"].passed
+
+
+def test_an_unsampled_poisson_rate_fails_only_the_lines_that_draw_counts():
+    results = vf.run_battery(cli.ExperimentConfig(window=(0.0, 3e19)))
+    assert len(results) == 61
+    drawing = [r for r in results if r.name == "poisson/mean-count-mc"
+               or r.name.startswith("sampling/cox-product-moment[")]
+    assert len(drawing) == 4
+    for r in drawing:
+        assert not r.passed
+        assert r.error.startswith("capacity: largest Poisson rate ")
