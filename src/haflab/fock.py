@@ -35,23 +35,9 @@ WICK_MAX_ORDER = 4
 BOGOLIUBOV_TOL = 1e-8
 
 
-def _occupations(n_modes: int, max_total: int):
-    # All occupation tuples with total <= max_total, ordered by total then
-    # lexicographically; the empty state comes first.
-    def fill(prefix, remaining, budget):
-        if remaining == 0:
-            if budget == 0:
-                yield prefix
-            return
-        for k in range(budget + 1):
-            yield from fill(prefix + (k,), remaining - 1, budget - k)
-
-    for total in range(max_total + 1):
-        yield from fill((), n_modes, total)
-
-
 class FockBasis:
-    """Enumerated occupation states with total occupation <= truncation."""
+    """Occupation states with total occupation <= truncation, ordered by
+    total and then lexicographically; index 0 is the vacuum."""
 
     def __init__(self, n_grid: int, n_feature: int, truncation: int):
         if n_grid < 0 or n_feature < 0 or n_grid + n_feature < 1:
@@ -61,25 +47,34 @@ class FockBasis:
         self.n_grid = n_grid
         self.n_feature = n_feature
         self.truncation = truncation
-        self.n_modes = n_grid + n_feature
-        self.states = list(_occupations(self.n_modes, truncation))
-        self.index = {s: i for i, s in enumerate(self.states)}
-        self.occupations = occ = np.array(self.states, dtype=np.int64)
+        self.n_modes = n = n_grid + n_feature
+        # Sector k + 1 is every sector-k row plus e_j, lexsorted and
+        # deduplicated; the position a raised row lands at is its source's
+        # +1_j neighbour, so the raising tables come with the basis: per
+        # mode j (rows), the index of each below-cutoff state's neighbour
+        # and the matrix element sqrt(n_j + 1).
+        sectors, dst = [np.zeros((1, n), dtype=np.int64)], [np.zeros((n, 0), dtype=np.int64)]
+        for _ in range(truncation):
+            low = sectors[-1]
+            raised = (low + np.eye(n, dtype=np.int64)[:, None]).reshape(-1, n)
+            order = np.lexsort(raised.T[::-1])
+            rows = raised[order]
+            new = np.ones(len(rows), dtype=bool)
+            new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+            rank = np.empty(len(rows), dtype=np.int64)
+            rank[order] = np.cumsum(new) - 1
+            dst.append(rank.reshape(n, len(low)) + sum(map(len, sectors)))
+            sectors.append(rows[new])
+        self.occupations = occ = np.concatenate(sectors)
         occ.flags.writeable = False
         self.totals = occ.sum(axis=1)
-        # Raising tables, built once per basis: the states below the cutoff,
-        # and per mode j (rows) the index of each one's +1_j neighbour and
-        # the matrix element sqrt(n_j + 1).
         self.raise_src = np.nonzero(self.totals < truncation)[0]
-        below = [self.states[i] for i in self.raise_src]
-        self.raise_dst = np.array(
-            [[self.index[s[:j] + (s[j] + 1,) + s[j + 1:]] for s in below]
-             for j in range(self.n_modes)], dtype=np.int64)
+        self.raise_dst = np.concatenate(dst, axis=1)
         self.raise_amp = np.sqrt(occ[self.raise_src].T + 1.0)
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return len(self.occupations)
 
     def safe_indices(self, margin: int) -> np.ndarray:
         """States whose total occupation is at most truncation - margin (none: a CapacityError)."""
@@ -382,7 +377,7 @@ def moment(basis: FockBasis, source, boxes) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian combinations and the pair-partition structure of the vacuum
+# Hermitian combinations and the quasi-free vacuum
 # ---------------------------------------------------------------------------
 
 
@@ -423,25 +418,6 @@ def quasifree_T(basis: FockBasis, source, hs) -> complex:
     for u, w, _ in reversed(coeffs):
         vec = _ladder_apply(basis, u, w, 0.0, vec)
     return complex(vec[0])
-
-
-def pair_partitions(n: int):
-    """All partitions of 0..n-1 into ordered pairs (i < j within each pair)."""
-    items = list(range(n))
-
-    def rec(rest):
-        if not rest:
-            yield []
-            return
-        first = rest[0]
-        for t in range(1, len(rest)):
-            partner = rest[t]
-            for tail in rec(rest[1:t] + rest[t + 1:]):
-                yield [(first, partner)] + tail
-
-    if n % 2 != 0:
-        return
-    yield from rec(items)
 
 
 # ---------------------------------------------------------------------------

@@ -90,25 +90,28 @@ def theta_gap(basis: fk.FockBasis, source, boxes) -> float:
 def poisson_theta_gap(basis: fk.FockBasis, profile: kn.GaussianFieldModel, boxes) -> float:
     """Gap between theta of a deterministic intensity (a model with no
     features) and its closed form, the product of the box rates over n!."""
-    rate = np.abs(profile.mean) ** 2 * profile.grid.volumes
-    closed = np.prod([rate[kn.cell_set(b, rate.size)].sum() for b in boxes])
+    closed = math.prod(kn.intensity_integral(profile, box) for box in boxes)
     return abs(fk.theta(basis, profile, boxes) - closed / math.factorial(len(boxes)))
 
 
-def rho_defects(basis: fk.FockBasis, source, box1, box2) -> tuple[float, float]:
-    """Largest entry of [rho(box1), rho(box2)] on the margin-4 domain, and
-    the hermiticity defect of rho(box1) on the margin-2 block."""
-    r1, r2 = fk.rho(basis, source, box1), fk.rho(basis, source, box2)
-    return (fk.max_abs_on_domain(fk.commutator(r1, r2), 4),
-            fk.hermiticity_defect(r1, 2))
+def rho_commutation_defect(r1: fk.FockOperator, r2: fk.FockOperator) -> float:
+    """Largest entry of the commutator of two densities on the margin-4 domain."""
+    return fk.max_abs_on_domain(fk.commutator(r1, r2), 4)
 
 
-def quasifree_gaps(basis: fk.FockBasis, source, hs) -> tuple[float, float, float]:
-    """|T1|, |T3| and the gap between T4 and its pair-partition sum, for
-    four test functions `hs`."""
-    t = lambda *fs: fk.quasifree_T(basis, source, fs)
-    pairs = sum(t(hs[a], hs[b]) * t(hs[c], hs[d]) for (a, b), (c, d) in fk.pair_partitions(4))
-    return abs(t(*hs[:1])), abs(t(*hs[:3])), abs(t(*hs) - pairs)
+def rho_hermiticity_defect(r: fk.FockOperator) -> float:
+    """Hermiticity defect of a density on the margin-2 block."""
+    return fk.hermiticity_defect(r, 2)
+
+
+def quasifree_pairing_gap(basis: fk.FockBasis, source, hs) -> float:
+    """Gap between T_k and the hafnian of the two-point matrix, whose upper
+    triangle holds T2(h_a, h_b) for a < b, for an even number k of `hs`."""
+    tk = fk.quasifree_T(basis, source, hs)
+    t2 = np.zeros((len(hs), len(hs)), dtype=complex)
+    for a, b in zip(*np.triu_indices(len(hs), 1)):
+        t2[a, b] = fk.quasifree_T(basis, source, [hs[a], hs[b]])
+    return abs(tk - mf.hafnian_dp(t2))
 
 
 def growth_bound(model: kn.GaussianFieldModel, box, n: int) -> float:
@@ -237,9 +240,9 @@ def _process_table(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig
     boxes2 = cfg.disjoint_boxes(m_cells)
     basis = functools.partial(fock_basis, m_cells, model.feature_dim)
     # overlapping boxes: both contain cell 0
-    rho = _shared(lambda: rho_defects(basis(), model, {*boxes2[0], 0}, {*boxes2[1], 0}))
-    quasifree = _shared(lambda: quasifree_gaps(
-        basis(), model, [_complex_normal(rng, m_cells) for _ in range(4)]))
+    r1 = _shared(lambda: fk.rho(basis(), model, {*boxes2[0], 0}))
+    r2 = _shared(lambda: fk.rho(basis(), model, {*boxes2[1], 0}))
+    hs = _shared(lambda: [_complex_normal(rng, m_cells) for _ in range(4)])
 
     def cox_product_moment():
         emp = sp.empirical_product_moment(sp.sample_cox(model, rng, size=cfg.replicates), boxes2)
@@ -257,11 +260,14 @@ def _process_table(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig
         (f"sampling/cox-product-moment[{tag}]", cox_product_moment),
         *((f"fock/theta-vs-quadrature[{tag},n={n}]", functools.partial(theta_vs_quadrature, n))
           for n in range(1, max_order + 1)),
-        (f"fock/rho-commutation[{tag}]", lambda: _residual(rho()[0], 1e-10)),
-        (f"fock/rho-hermiticity[{tag}]", lambda: _residual(rho()[1], 1e-13)),
-        (f"fock/quasifree-T1[{tag}]", lambda: _residual(quasifree()[0], 1e-10)),
-        (f"fock/quasifree-T3[{tag}]", lambda: _residual(quasifree()[1], 1e-10)),
-        (f"fock/quasifree-T4-pairing[{tag}]", lambda: _residual(quasifree()[2], 1e-9)),
+        (f"fock/rho-commutation[{tag}]",
+         lambda: _residual(rho_commutation_defect(r1(), r2()), 1e-10)),
+        (f"fock/rho-hermiticity[{tag}]", lambda: _residual(rho_hermiticity_defect(r1()), 1e-13)),
+        *((f"fock/quasifree-T{k}[{tag}]",   # odd centered k-point functions vanish
+           lambda k=k: _residual(abs(fk.quasifree_T(basis(), model, hs()[:k])), 1e-10))
+          for k in (1, 3)),
+        (f"fock/quasifree-T4-pairing[{tag}]",
+         lambda: _residual(quasifree_pairing_gap(basis(), model, hs()), 1e-9)),
         *((f"fock/growth-bound[{tag},n={n}]", functools.partial(growth, n))
           for n in range(1, min(3, cfg.truncation // 2) + 1)),
     ]
@@ -273,15 +279,14 @@ def _poisson_table(cfg: ExperimentConfig, rng: np.random.Generator, fock_basis) 
         kn.Grid.regular(*cfg.window, cells), _complex_normal(rng, cells)))
 
     def mean_count():
-        rate = np.abs(profile().mean) ** 2 * profile().grid.volumes
         emp = sp.empirical_product_moment(sp.sample_cox(profile(), rng, size=cfg.replicates),
                                           [list(range(cells))])
-        return _zscore(emp.value, float(rate.sum()), emp.std_error)
+        return _zscore(emp.value, kn.intensity_integral(profile(), range(cells)), emp.std_error)
 
-    def theta_closed_form():
+    def theta_closed_form():   # order 1 always, so a small truncation is a capacity error
         basis = fock_basis(cells, 0)
-        worst = max((poisson_theta_gap(basis, profile(), [[j % cells] for j in range(n)])
-                     for n in range(1, min(3, cfg.truncation // 2) + 1)), default=0.0)
+        worst = max(poisson_theta_gap(basis, profile(), [[j % cells] for j in range(n)])
+                    for n in range(1, max(1, min(3, cfg.truncation // 2)) + 1))
         return _residual(worst, 1e-10)
     return [("poisson/mean-count-mc", mean_count),
             ("poisson/theta-closed-form", theta_closed_form)]

@@ -122,7 +122,8 @@ def test_criterion_07_commutation_and_hermiticity():
             size1, size2 = rng.integers(1, 4, size=2)
             b1 = list(rng.choice(4, size=size1, replace=False))
             b2 = list(rng.choice(4, size=size2, replace=False))
-            comm, herm = vf.rho_defects(basis, model, b1, b2)
+            r1, r2 = fk.rho(basis, model, b1), fk.rho(basis, model, b2)
+            comm, herm = vf.rho_commutation_defect(r1, r2), vf.rho_hermiticity_defect(r1)
             worst_comm, worst_herm = max(worst_comm, comm), max(worst_herm, herm)
     gate(7, worst_comm <= 1e-10 and worst_herm <= 1e-13,
          f"30 box pairs, commutator {worst_comm:.2e}, hermiticity {worst_herm:.2e}")
@@ -136,7 +137,8 @@ def test_criterion_08_quasifree_state_checks():
         for _ in range(5):
             hs = [rng.standard_normal(4) + 1j * rng.standard_normal(4)
                   for _ in range(4)]
-            t1, t3, pairing = vf.quasifree_gaps(basis, model, hs)
+            t1, t3 = (abs(fk.quasifree_T(basis, model, hs[:k])) for k in (1, 3))
+            pairing = vf.quasifree_pairing_gap(basis, model, hs)
             worst_odd, worst_four = max(worst_odd, t1, t3), max(worst_four, pairing)
     gate(8, worst_odd <= 1e-10 and worst_four <= 1e-9,
          f"15 quadruples, odd orders {worst_odd:.2e}, pairing gap {worst_four:.2e}")

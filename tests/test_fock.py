@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -30,6 +31,11 @@ def plain_basis():
     return fk.FockBasis(2, 1, 5)
 
 
+def _index(basis):
+    """Each occupation tuple of the basis mapped to its position, in basis order."""
+    return {tuple(row): i for i, row in enumerate(basis.occupations.tolist())}
+
+
 # ---------------------------------------------------------------------------
 # basis
 # ---------------------------------------------------------------------------
@@ -42,8 +48,27 @@ def test_state_count_formula():
         assert basis.size == expected
 
 
+@pytest.mark.parametrize("dims", [(2, 1, 5), (3, 2, 6), (3, 0, 4), (1, 0, 0), (3, 2, 0),
+                                  (1, 0, 4), (0, 2, 3)])
+def test_basis_and_raising_tables_match_brute_force(dims):
+    # order by (total, tuple); raise_dst and raise_amp by the per-state
+    # tuple rule, for truncation 0, one mode and no feature or grid modes
+    basis = fk.FockBasis(*dims)
+    n, top = basis.n_modes, basis.truncation
+    states = sorted((s for s in itertools.product(range(top + 1), repeat=n) if sum(s) <= top),
+                    key=lambda s: (sum(s), s))
+    assert basis.occupations.tolist() == [list(s) for s in states]
+    index = {s: i for i, s in enumerate(states)}
+    below = [s for s in states if sum(s) < top]
+    assert basis.raise_src.tolist() == list(range(len(below)))
+    dst = [[index[s[:j] + (s[j] + 1,) + s[j + 1:]] for s in below] for j in range(n)]
+    amp = [[math.sqrt(s[j] + 1) for s in below] for j in range(n)]
+    assert np.array_equal(basis.raise_dst, np.array(dst, dtype=np.int64).reshape(n, -1))
+    assert np.array_equal(basis.raise_amp, np.array(amp).reshape(n, -1))
+
+
 def test_vacuum_is_index_zero(plain_basis):
-    assert plain_basis.states[0] == (0, 0, 0)
+    assert plain_basis.occupations[0].tolist() == [0, 0, 0]
     v = plain_basis.vacuum()
     assert v[0] == 1.0 and np.abs(v[1:]).max() == 0.0
     assert fk.vacuum_expectation(fk.identity(plain_basis)) == 1.0
@@ -78,7 +103,7 @@ def test_empty_hermiticity_block_is_a_capacity_error():
 def test_create_on_vacuum(plain_basis):
     op = fk.create(plain_basis, [1.0, 0.0, 0.0])
     out = op.apply(plain_basis.vacuum())
-    target = plain_basis.index[(1, 0, 0)]
+    target = _index(plain_basis)[(1, 0, 0)]
     assert out[target] == 1.0
     assert np.abs(np.delete(out, target)).max() == 0.0
 
@@ -139,17 +164,18 @@ def test_vector_length_checked(plain_basis):
 
 
 def _per_state_ladder(basis, v, step):
-    """Reference ladder from basis.states/basis.index, one state at a time:
+    """Reference ladder from the occupation tuples, one state at a time:
     step +1 raises mode j with sqrt(n_j + 1), step -1 lowers it with
     sqrt(n_j); transitions above the truncation are dropped."""
     mat = np.zeros((basis.size, basis.size), dtype=complex)
-    for col, state in enumerate(basis.states):
+    index = _index(basis)
+    for col, state in enumerate(index):
         for j in np.nonzero(v)[0]:
             n = state[j] + step
             if n < 0 or sum(state) + step > basis.truncation:
                 continue
             target = state[:j] + (n,) + state[j + 1:]
-            mat[basis.index[target], col] = v[j] * math.sqrt(max(n, state[j]))
+            mat[index[target], col] = v[j] * math.sqrt(max(n, state[j]))
     return mat
 
 
@@ -179,9 +205,10 @@ def test_ladders_match_per_state_rule(dims):
 def test_neutral_counts_grid_occupation(plain_basis):
     op = fk.neutral(plain_basis, [0, 1])
     assert fk.vacuum_expectation(op) == 0.0
-    two = plain_basis.index[(2, 0, 0)]
+    index = _index(plain_basis)
+    two = index[(2, 0, 0)]
     assert op.mat[two, two] == 2.0
-    mixed = plain_basis.index[(1, 2, 1)]
+    mixed = index[(1, 2, 1)]
     assert op.mat[mixed, mixed] == 3.0   # feature mode not counted
 
 
@@ -547,10 +574,12 @@ def test_growth_bound_via_theta(bases):
 # ---------------------------------------------------------------------------
 
 
-def test_pair_partitions_count():
-    assert len(list(fk.pair_partitions(4))) == 3
-    assert len(list(fk.pair_partitions(6))) == 15
-    assert list(fk.pair_partitions(3)) == []
+def _pairing_hafnian(basis, source, hs):
+    """The hafnian of the two-point matrix, T2(h_a, h_b) on its upper triangle."""
+    t2 = np.zeros((len(hs), len(hs)), dtype=complex)
+    for a, b in itertools.combinations(range(len(hs)), 2):
+        t2[a, b] = fk.quasifree_T(basis, source, [hs[a], hs[b]])
+    return hafnian_dp(t2)
 
 
 def test_b_field_commutator(bases):
@@ -600,12 +629,8 @@ def test_quasifree_fourth_order_pairing(bases):
         basis = bases[name]
         hs = [rng.standard_normal(3) + 1j * rng.standard_normal(3)
               for _ in range(4)]
-        t2 = lambda a, b: fk.quasifree_T(basis, model, [a, b])
-        expected = sum(
-            math.prod(t2(hs[i], hs[j]) for i, j in pairing)
-            for pairing in fk.pair_partitions(4))
         got = fk.quasifree_T(basis, model, hs)
-        assert abs(got - expected) <= 1e-9
+        assert abs(got - _pairing_hafnian(basis, model, hs)) <= 1e-9
 
 
 def test_quasifree_t2_closed_form(bases):
@@ -630,11 +655,7 @@ def test_quasifree_poisson_centered_orders(poisson_setup):
           for _ in range(4)]
     # the shift contributes only to the first order; centered odd orders die
     assert abs(fk.quasifree_T(basis, profile, hs[:3])) <= 1e-10
-    t2 = lambda a, b: fk.quasifree_T(basis, profile, [a, b])
-    expected = sum(
-        math.prod(t2(hs[i], hs[j]) for i, j in pairing)
-        for pairing in fk.pair_partitions(4))
-    assert abs(fk.quasifree_T(basis, profile, hs) - expected) <= 1e-9
+    assert abs(fk.quasifree_T(basis, profile, hs) - _pairing_hafnian(basis, profile, hs)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -102,40 +102,43 @@ def test_poisson_theta_gap_sees_a_scaled_route(monkeypatch):
 
 
 def test_rho_defects_see_a_commutator_defect(monkeypatch, model, basis):
-    assert max(vf.rho_defects(basis, model, [0, 1], [1, 2])) < 1e-10
+    r1, r2 = fk.rho(basis, model, [0, 1]), fk.rho(basis, model, [1, 2])
+    assert vf.rho_commutation_defect(r1, r2) < 1e-10
     original = fk.commutator
     monkeypatch.setattr(fk, "commutator",
                         lambda a, b: original(a, b) + EPS * fk.identity(a.basis))
-    comm, herm = vf.rho_defects(basis, model, [0, 1], [1, 2])
-    assert comm == pytest.approx(EPS, rel=1e-6)
-    assert herm < 1e-13
+    assert vf.rho_commutation_defect(r1, r2) == pytest.approx(EPS, rel=1e-6)
+    assert vf.rho_hermiticity_defect(r1) < 1e-13
 
 
-def test_rho_defects_see_a_non_hermitian_density(monkeypatch, model, basis):
+def test_rho_defects_see_a_non_hermitian_density(model, basis):
     # an anti-Hermitian i EPS on the diagonal leaves the commutator alone
-    original = fk.rho
-    monkeypatch.setattr(fk, "rho", lambda b, source, cells: (
-        original(b, source, cells) + 1j * EPS * fk.identity(b)))
-    comm, herm = vf.rho_defects(basis, model, [0, 1], [1, 2])
-    assert herm == pytest.approx(2 * EPS, rel=1e-9)
-    assert comm < 1e-10
+    r1, r2 = fk.rho(basis, model, [0, 1]), fk.rho(basis, model, [1, 2])
+    assert vf.rho_hermiticity_defect(r1) < 1e-13
+    r1 = r1 + 1j * EPS * fk.identity(basis)
+    assert vf.rho_hermiticity_defect(r1) == pytest.approx(2 * EPS, rel=1e-9)
+    assert vf.rho_commutation_defect(r1, r2) < 1e-10
 
 
 def test_quasifree_gaps_see_wrong_odd_and_pairing_routes(monkeypatch, model, basis, rng):
     hs = [complex_normal(rng, 4) for _ in range(4)]
-    assert max(vf.quasifree_gaps(basis, model, hs)) < 1e-12
+    odd = lambda: [abs(fk.quasifree_T(basis, model, hs[:k])) for k in (1, 3)]
+    assert max(odd()) < 1e-12
+    assert vf.quasifree_pairing_gap(basis, model, hs) < 1e-12
     t4 = fk.quasifree_T(basis, model, hs)
-    scaled(monkeypatch, fk, "quasifree_T", when=lambda b, s, fs: len(fs) == 4)
-    t1, t3, pairing = vf.quasifree_gaps(basis, model, hs)
-    assert pairing == pytest.approx(EPS * abs(t4), rel=1e-4)
-    assert max(t1, t3) < 1e-12
+    # a wrong T4, then a wrong T2 inside the hafnian (each product of two
+    # T2 values moves by 2 EPS)
+    for k, shift in ((4, EPS), (2, 2 * EPS)):
+        scaled(monkeypatch, fk, "quasifree_T", when=lambda b, s, fs: len(fs) == k)
+        assert vf.quasifree_pairing_gap(basis, model, hs) == pytest.approx(
+            shift * abs(t4), rel=1e-4)
+        assert max(odd()) < 1e-12
+        monkeypatch.undo()
 
     original = fk.quasifree_T
     monkeypatch.setattr(fk, "quasifree_T", lambda b, s, fs: (
         original(b, s, fs) + (EPS if len(fs) % 2 else 0.0)))
-    t1, t3, _ = vf.quasifree_gaps(basis, model, hs)
-    assert t1 == pytest.approx(EPS, rel=1e-9)
-    assert t3 == pytest.approx(EPS, rel=1e-9)
+    assert odd() == pytest.approx([EPS, EPS], rel=1e-9)
 
 
 def test_growth_ratio_sees_a_scaled_route(monkeypatch, model, basis):
@@ -247,18 +250,33 @@ def test_default_battery_names_are_unique():
 
 
 def test_each_fock_check_has_its_own_record_below_its_truncation():
-    # truncation 3 fits theta and the growth bound at n = 1, which pass;
-    # each Fock line records its own outcome
-    results = vf.run_battery(cli.ExperimentConfig(truncation=3))
-    by_name = {r.name: r for r in results}
-    assert len(results) == len(by_name) == 55
-    assert not any(name.startswith("fock/identities") for name in by_name)
-    for entry in vf.DEFAULT_MODELS:
-        tag = entry["builtin"]
-        # the margin-4 commutation domain is empty: a capacity error, not a pass
-        assert by_name[f"fock/rho-commutation[{tag}]"].error.startswith("capacity: ")
-        assert by_name[f"fock/theta-vs-quadrature[{tag},n=1]"].passed
-        assert by_name[f"fock/growth-bound[{tag},n=1]"].passed
+    # Each Fock line records its own outcome, a pass or its own capacity
+    # error.  Truncation 1 fits T1 alone.  Truncation 3 fits theta and the
+    # growth bound at n = 1, the margin-2 hermiticity block, T1 and T3, but
+    # not the margin-4 commutation domain, T4 or theta at n = 2.  The
+    # Poisson closed form always tries order 1, so truncation 1 fails it.
+    rows = {1: (52, 33, ["quasifree-T1[{}]"]),
+            3: (55, 46, ["theta-vs-quadrature[{},n=1]", "growth-bound[{},n=1]",
+                         "rho-hermiticity[{}]", "quasifree-T1[{}]", "quasifree-T3[{}]"])}
+    for truncation, (lines, passing, fock_passing) in rows.items():
+        results = vf.run_battery(cli.ExperimentConfig(truncation=truncation))
+        by_name = {r.name: r for r in results}
+        assert len(results) == len(by_name) == lines
+        assert sum(r.passed for r in results) == passing
+        assert not any(name.startswith("fock/identities") for name in by_name)
+        for entry in vf.DEFAULT_MODELS:
+            tag = entry["builtin"]
+            fock = [r for r in results if r.name.startswith("fock/")
+                    and (f"[{tag}]" in r.name or f"[{tag}," in r.name)]
+            assert {r.name for r in fock if r.passed} == {
+                "fock/" + name.format(tag) for name in fock_passing}
+            assert all(r.error.startswith("capacity: ") for r in fock if not r.passed)
+            # the margin-4 commutation domain is empty: a capacity error, not a pass
+            assert by_name[f"fock/rho-commutation[{tag}]"].error.startswith("capacity: ")
+        poisson = by_name["poisson/theta-closed-form"]
+        assert poisson.passed == (truncation == 3)
+        if truncation == 1:
+            assert poisson.error == "capacity: truncation 1 too small for order 1 (need >= 2)"
 
 
 def test_an_unsampled_poisson_rate_fails_only_the_lines_that_draw_counts():
