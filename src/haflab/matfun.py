@@ -14,7 +14,6 @@ from cmath import isfinite
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from math import comb
 from statistics import median
 from typing import Final
 
@@ -106,45 +105,30 @@ def _dp_schedule(dim: int) -> tuple:
     """Subset levels of the hafnian recursion at one even dimension.
 
     Starting from the full index set, each step drops the lowest index
-    ``i`` and one partner ``j``.  The subsets of size ``dim - 2k`` reached
-    after ``k`` steps are exactly the ``(dim - 2k)``-subsets of
-    ``range(k, dim)``; each level keeps them as bitmasks in ascending
-    (colexicographic) order, so a child's position one level down is its
-    colex rank, a sum of binomial coefficients, with no sort or search.
+    ``i`` and one partner ``j``; each level keeps its subsets as sorted
+    bitmasks, so a child's position one level down is a binary search.
     Returns, from the pairs level up to the full set, one ``(ij, slot)``
     pair of read-only ``int32`` arrays of shape ``(subsets, size - 1)``:
     ``ij`` is the flat index ``i * dim + j`` (partners ascending) and
     ``slot`` the position of the child subset.
     """
-    binom = np.array([[comb(x, r) for r in range(dim)] for x in range(dim)], dtype=np.int64)
     levels = []
     masks = np.array([(1 << dim) - 1], dtype=np.int64)
-    for k, size in enumerate(range(dim, 0, -2)):
+    for size in range(dim, 0, -2):
         low = masks & -masks
         rest = masks ^ low
         row = np.log2(low).astype(np.int32) * dim
         children = np.empty((len(masks), size - 1), dtype=np.int64)
         ij = np.empty(children.shape, dtype=np.int32)
-        slot = np.empty(children.shape, dtype=np.int64)
-        # the child without partner t has colex rank (relative to k + 1)
-        #   sum_{u<t} C(j_u - k - 1, u + 1) + sum_{u>t} C(j_u - k - 1, u);
-        # `before` accumulates the first sum, `after` the second's terms
-        before = np.zeros(len(masks), dtype=np.int64)
-        after = np.zeros(len(masks), dtype=np.int64)
         sweep = rest.copy()
         for t in range(size - 1):
             low = sweep & -sweep
             sweep ^= low
-            j = np.log2(low).astype(np.int32)
             children[:, t] = rest ^ low
-            ij[:, t] = row + j
-            after += binom[j - k - 1, t]
-            slot[:, t] = before - after
-            before += binom[j - k - 1, t + 1]
-        slot += after[:, None]
-        masks = np.empty(binom[dim - k - 1, size - 2], dtype=np.int64)
-        masks[slot] = children
-        slot = slot.astype(np.int32)
+            ij[:, t] = row + np.log2(low).astype(np.int32)
+        masks = np.sort(children, axis=None)
+        masks = masks[np.append(True, masks[1:] != masks[:-1])]
+        slot = np.searchsorted(masks, children).astype(np.int32)
         ij.setflags(write=False)
         slot.setflags(write=False)
         levels.append((ij, slot))

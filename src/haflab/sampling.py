@@ -152,10 +152,8 @@ def sample_cox(model: GaussianFieldModel, seed, size: int | None = None) -> np.n
     """Doubly stochastic counts: draw the field, then conditionally
     independent Poisson counts with rate |G(x_m)|^2 vol_m."""
     rng = _as_rng(seed)
-    g = sample_field(model, rng, size=size if size is not None else 1)
-    rate = np.abs(g) ** 2 * model.grid.volumes[None, :]
-    counts = _poisson(rng, rate)
-    return counts[0] if size is None else counts
+    g = sample_field(model, rng, size=size)
+    return _poisson(rng, np.abs(g) ** 2 * model.grid.volumes)
 
 
 def box_counts(patterns: np.ndarray, box) -> np.ndarray:

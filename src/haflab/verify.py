@@ -235,7 +235,7 @@ def _field_table(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig,
 
 
 def _process_table(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig,
-                   max_order: int, rng: np.random.Generator, fock_basis) -> list:
+                   max_order: int, fock_orders, rng: np.random.Generator, fock_basis) -> list:
     m_cells = model.grid.n_cells
     boxes2 = cfg.disjoint_boxes(m_cells)
     basis = functools.partial(fock_basis, m_cells, model.feature_dim)
@@ -269,11 +269,12 @@ def _process_table(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig
         (f"fock/quasifree-T4-pairing[{tag}]",
          lambda: _residual(quasifree_pairing_gap(basis(), model, hs()), 1e-9)),
         *((f"fock/growth-bound[{tag},n={n}]", functools.partial(growth, n))
-          for n in range(1, min(3, cfg.truncation // 2) + 1)),
+          for n in fock_orders),
     ]
 
 
-def _poisson_table(cfg: ExperimentConfig, rng: np.random.Generator, fock_basis) -> list:
+def _poisson_table(cfg: ExperimentConfig, fock_orders, rng: np.random.Generator,
+                   fock_basis) -> list:
     cells = max(2, cfg.cells)
     profile = _shared(lambda: kn.intensity_profile(
         kn.Grid.regular(*cfg.window, cells), _complex_normal(rng, cells)))
@@ -283,10 +284,10 @@ def _poisson_table(cfg: ExperimentConfig, rng: np.random.Generator, fock_basis) 
                                           [list(range(cells))])
         return _zscore(emp.value, kn.intensity_integral(profile(), range(cells)), emp.std_error)
 
-    def theta_closed_form():   # order 1 always, so a small truncation is a capacity error
+    def theta_closed_form():
         basis = fock_basis(cells, 0)
         worst = max(poisson_theta_gap(basis, profile(), [[j % cells] for j in range(n)])
-                    for n in range(1, max(1, min(3, cfg.truncation // 2)) + 1))
+                    for n in fock_orders)
         return _residual(worst, 1e-10)
     return [("poisson/mean-count-mc", mean_count),
             ("poisson/theta-closed-form", theta_closed_form)]
@@ -304,6 +305,8 @@ def run_battery(cfg: ExperimentConfig) -> list[CheckResult]:
         raise ConfigError("verify needs at least one model, got 'models' []")
     if cfg.replicates < 1:   # the Cox and Poisson checks average over the replicates
         raise ConfigError(f"verify needs at least 1 replicate, got 'replicates' {cfg.replicates}")
+    # growth and Poisson closed-form orders: 1 always, so a small truncation fails them
+    fock_orders = range(1, max(1, min(3, cfg.truncation // 2)) + 1)
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid()
     entries = (cfg.models if cfg.models is not None
@@ -320,6 +323,6 @@ def run_battery(cfg: ExperimentConfig) -> list[CheckResult]:
         yield _matfun_table(rng)
         for tag, model in models:
             yield _field_table(tag, model, cfg, max_order, rng)
-            yield _process_table(tag, model, cfg, max_order, rng, fock_basis)
-        yield _poisson_table(cfg, rng, fock_basis)
+            yield _process_table(tag, model, cfg, max_order, fock_orders, rng, fock_basis)
+        yield _poisson_table(cfg, fock_orders, rng, fock_basis)
     return [_run(name, thunk) for table in tables() for name, thunk in table]

@@ -71,6 +71,25 @@ def haf_memo_reference(c):
     return rec((1 << dim) - 1)
 
 
+def dp_schedule_reference(dim):
+    """``_dp_schedule`` as nested lists, built with Python sets: each level
+    holds the subsets reached from the level above in ascending order, and
+    a dict from mask to position gives each child's slot."""
+    levels = []
+    masks = [(1 << dim) - 1]
+    for _ in range(dim // 2):
+        terms = []
+        for mask in masks:
+            i = (mask & -mask).bit_length() - 1
+            rest = mask ^ (1 << i)
+            terms.append([(i * dim + j, rest ^ (1 << j)) for j in range(dim) if rest >> j & 1])
+        masks = sorted({child for row in terms for _, child in row})
+        position = {mask: p for p, mask in enumerate(masks)}
+        levels.append(([[ij for ij, _ in row] for row in terms],
+                       [[position[child] for _, child in row] for row in terms]))
+    return levels[::-1]
+
+
 # ---------------------------------------------------------------------------
 # hafnian
 # ---------------------------------------------------------------------------
@@ -147,6 +166,17 @@ def test_hafnian_dp_matches_memo_reference(dim):
         c = mf.random_symmetric(dim, rng)
         expected = haf_memo_reference(c)
         assert abs(mf.hafnian_dp(c) - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("dim", range(0, 15, 2))
+def test_dp_schedule_matches_set_reference(dim):
+    schedule = mf._dp_schedule(dim)
+    expected = dp_schedule_reference(dim)
+    assert len(schedule) == len(expected)
+    for arrays, lists in zip(schedule, expected):
+        for array, rows in zip(arrays, lists):
+            assert array.dtype == np.int32 and not array.flags.writeable
+            assert array.tolist() == rows
 
 
 def test_hafnian_dp_builds_schedule_once_per_dimension():

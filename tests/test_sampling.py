@@ -226,6 +226,14 @@ def test_cox_pattern_determinism():
                           sp.sample_cox(model, 5, size=9))
 
 
+@pytest.mark.parametrize("model", [MODELS["alpha-beta-demo"],
+                                   kn.intensity_profile(GRID, np.array([1.0, 2.0, 1j, 0.5, 0.0]))])
+def test_cox_without_size_is_the_first_row_of_size_one(model):
+    one = sp.sample_cox(model, 13)
+    assert one.shape == (GRID.n_cells,)
+    assert one.tobytes() == sp.sample_cox(model, 13, size=1)[0].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # moments: Monte Carlo vs exact quadrature
 # ---------------------------------------------------------------------------

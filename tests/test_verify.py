@@ -253,9 +253,11 @@ def test_each_fock_check_has_its_own_record_below_its_truncation():
     # Each Fock line records its own outcome, a pass or its own capacity
     # error.  Truncation 1 fits T1 alone.  Truncation 3 fits theta and the
     # growth bound at n = 1, the margin-2 hermiticity block, T1 and T3, but
-    # not the margin-4 commutation domain, T4 or theta at n = 2.  The
-    # Poisson closed form always tries order 1, so truncation 1 fails it.
-    rows = {1: (52, 33, ["quasifree-T1[{}]"]),
+    # not the margin-4 commutation domain, T4 or theta at n = 2.  The growth
+    # lines and the Poisson closed form always try order 1, so truncation 1
+    # keeps each model's growth-bound[n=1] line and fails it, like the
+    # Poisson line, with a capacity error.
+    rows = {1: (55, 33, ["quasifree-T1[{}]"]),
             3: (55, 46, ["theta-vs-quadrature[{},n=1]", "growth-bound[{},n=1]",
                          "rho-hermiticity[{}]", "quasifree-T1[{}]", "quasifree-T3[{}]"])}
     for truncation, (lines, passing, fock_passing) in rows.items():
@@ -276,7 +278,10 @@ def test_each_fock_check_has_its_own_record_below_its_truncation():
         poisson = by_name["poisson/theta-closed-form"]
         assert poisson.passed == (truncation == 3)
         if truncation == 1:
-            assert poisson.error == "capacity: truncation 1 too small for order 1 (need >= 2)"
+            need = "capacity: truncation 1 too small for order 1 (need >= 2)"
+            assert poisson.error == need
+            assert all(by_name[f"fock/growth-bound[{entry['builtin']},n=1]"].error == need
+                       for entry in vf.DEFAULT_MODELS)
 
 
 def test_an_unsampled_poisson_rate_fails_only_the_lines_that_draw_counts():
