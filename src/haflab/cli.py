@@ -23,7 +23,7 @@ from . import kernels as kn
 from . import matfun as mf
 from . import sampling as sp
 from .errors import ConfigError, HaflabError
-from .kernels import _instance, _number, _whole
+from .kernels import _finite_pair, _instance, _number, _whole
 from .verify import run_battery
 
 
@@ -70,6 +70,8 @@ class ExperimentConfig:
                     doc = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            if not isinstance(doc, dict):
+                raise ConfigError(f"config {path} must be a JSON object")
             unknown = set(doc) - set(typed)
             if unknown:
                 raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -105,10 +107,12 @@ class ExperimentConfig:
     def resolve_profile(self) -> kn.GaussianFieldModel:
         """The model with no features and a mean of one [re, im] pair per cell."""
         try:
-            lam = np.array([complex(p[0], p[1]) for p in self.profile["lambda"]])
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ConfigError(
-                "profile needs a 'lambda' list of [re, im] pairs") from exc
+            lam = np.array([complex(*_finite_pair(p, "each profile 'lambda' entry"))
+                            for p in self.profile["lambda"]])
+        except (KeyError, TypeError) as exc:
+            raise ConfigError("profile needs a 'lambda' list of [re, im] pairs") from exc
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         return kn.intensity_profile(self.grid(), lam)
 
     def disjoint_boxes(self, n_cells: int) -> list[list[int]]:

@@ -10,9 +10,10 @@ feature space is componentwise complex conjugation in the standard basis.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,10 +46,8 @@ class Grid:
         if centers.ndim == 1:
             centers = centers[:, None]
         volumes = np.asarray(self.volumes, dtype=float)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "volumes", volumes)
+        for name, value in (("lo", lo), ("hi", hi), ("centers", centers), ("volumes", volumes)):
+            object.__setattr__(self, name, value)
         if centers.shape[0] != volumes.shape[0] or centers.shape[0] < 1:
             raise DimensionError("need one center and one volume per cell")
         if np.any(volumes <= 0):
@@ -78,29 +77,86 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class GaussianFieldModel:
-    """Grid, feature maps, their Gram kernels and a read-only mean (zeros by default)."""
+    """Grid, read-only feature maps and a read-only mean (zeros by default);
+    the kernels and the augmented covariance are derived from the features
+    on first read and cached on the model, read-only."""
 
     grid: Grid
     l1: np.ndarray   # (d, M) feature columns
     l2: np.ndarray   # (d, M)
-    k1: np.ndarray   # (M, M) Hermitian covariance Gram
-    k2: np.ndarray   # (M, M) symmetric pseudo-covariance Gram
     mean: np.ndarray | None = None   # (M,) complex, zeros if None
     displaced: bool = field(init=False)   # the mean is nonzero
 
     def __post_init__(self):
+        a, b = _feature_pair(np.array(self.l1, complex), np.array(self.l2, complex))
+        if a.shape[1] != self.grid.n_cells:
+            raise DimensionError(
+                f"feature matrices have {a.shape[1]} columns for {self.grid.n_cells} cells")
         mean = np.array(np.zeros(self.grid.n_cells) if self.mean is None else self.mean, complex)
         if mean.shape != (self.grid.n_cells,):
             raise DimensionError("need one intensity value per cell")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ModelError("feature values must be finite")
         if not np.all(np.isfinite(mean)):
             raise ModelError("intensity values must be finite")
-        mean.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
+        for name, value in (("l1", a), ("l2", b), ("mean", mean)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "displaced", bool(mean.any()))
 
     @property
     def feature_dim(self) -> int:
         return self.l1.shape[0]
+
+    @functools.cached_property
+    def k1(self) -> np.ndarray:
+        """(M, M) covariance Gram, symmetrized to be exactly Hermitian
+        (commutative float addition makes the identity bitwise)."""
+        g1 = self.l1.T @ self.l1.conj()
+        return _read_only((g1 + g1.conj().T) / 2)
+
+    @functools.cached_property
+    def k2(self) -> np.ndarray:
+        """(M, M) pseudo-covariance Gram, symmetrized to be exactly symmetric."""
+        g2 = self.l1.T @ self.l2
+        return _read_only((g2 + g2.T) / 2)
+
+    @functools.cached_property
+    def kernel(self) -> np.ndarray:
+        """Block kernel of all cells at once (rows 2m, 2m+1 belong to cell
+        m); every `block_kernel` is a gather from it."""
+        if self.displaced:
+            raise ModelError("block kernels need a zero-mean field; this model has a mean")
+        out = np.empty((2 * self.grid.n_cells,) * 2, dtype=complex)
+        out[0::2, 0::2] = self.k2
+        out[0::2, 1::2] = self.k1
+        out[1::2, 0::2] = self.k1.conj()
+        out[1::2, 1::2] = self.k2.conj()
+        return _read_only(out)
+
+    @functools.cached_property
+    def augmented(self) -> tuple[np.ndarray, np.ndarray]:
+        """Real covariance of (Re G, Im G) and its symmetric factor
+        (negative eigenvalues clipped), from one eigh that also serves the
+        PSD check; a model failing it caches nothing, so every read raises.
+
+        Blocks: E[XX^T] = Re(k1+k2)/2, E[YY^T] = Re(k1-k2)/2,
+        E[XY^T] = (Im k2 - Im k1)/2, E[YX^T] = (Im k2 + Im k1)/2.
+        """
+        k1, k2 = self.k1, self.k2
+        cov = 0.5 * np.block([[k1.real + k2.real, k2.imag - k1.imag],
+                              [k2.imag + k1.imag, k1.real - k2.real]])
+        w, v = np.linalg.eigh(cov)
+        floor = -1e-8 * float(np.max(np.abs(w), initial=0.0))
+        if w.min(initial=0.0) < floor:
+            raise ModelError(
+                f"augmented covariance has eigenvalue {w.min():.3e}; kernel pair inconsistent")
+        return _read_only(cov), _read_only(v * np.sqrt(np.clip(w, 0.0, None))[None, :])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -151,26 +207,14 @@ def validate_features(l1, l2) -> list[FeatureViolation]:
     return out
 
 
-def field_model(grid: Grid, l1, l2, *, validate: bool = True) -> GaussianFieldModel:
-    """Build a model from feature matrices, deriving both Gram kernels.
-
-    The covariance is symmetrized to be exactly Hermitian and the
-    pseudo-covariance to be exactly symmetric (commutative float addition
-    makes both identities bitwise).
-    """
-    a, b = _feature_pair(l1, l2)
-    if a.shape[1] != grid.n_cells:
-        raise DimensionError(
-            f"feature matrices have {a.shape[1]} columns for {grid.n_cells} cells")
-    if validate:
-        bad = validate_features(a, b)
-        if bad:
-            raise ModelError("invalid feature pair: " + "; ".join(map(str, bad)))
-    g1 = a.T @ a.conj()
-    g2 = a.T @ b
-    k1 = (g1 + g1.conj().T) / 2
-    k2 = (g2 + g2.T) / 2
-    return GaussianFieldModel(grid, a, b, k1, k2)
+def field_model(grid: Grid, l1, l2) -> GaussianFieldModel:
+    """The model of a feature pair, refused with its violation list unless
+    both admissibility conditions hold."""
+    model = GaussianFieldModel(grid, l1, l2)
+    bad = validate_features(model.l1, model.l2)
+    if bad:
+        raise ModelError("invalid feature pair: " + "; ".join(map(str, bad)))
+    return model
 
 
 def from_alpha_beta(alpha, beta, grid: Grid) -> GaussianFieldModel:
@@ -178,41 +222,18 @@ def from_alpha_beta(alpha, beta, grid: Grid) -> GaussianFieldModel:
 
     The resulting kernels close to k1 = (<a,a'> + <b,b'>)/2 and
     k2 = (a.a' - b.b')/2; alpha = beta recovers a proper field and
-    beta = 0 with alpha = sqrt(2) L the fully correlated one.
+    beta = 0 with alpha = sqrt(2) L the fully correlated one.  The pair is
+    admissible by construction, so it is not validated.
     """
     a, b = _feature_pair(alpha, beta)
-    plus = (a + b) / 2
-    minus = (a - b) / 2
-    l1 = np.vstack([plus, minus])
-    l2 = np.vstack([minus, plus])
-    return field_model(grid, l1, l2, validate=False)
+    return GaussianFieldModel(grid, np.vstack([a + b, a - b]) / 2, np.vstack([a - b, a + b]) / 2)
 
 
 def intensity_profile(grid: Grid, lam) -> GaussianFieldModel:
     """Deterministic complex intensity amplitude per cell (rate |lam|^2):
     the model with no features and mean `lam`."""
     empty = np.zeros((0, grid.n_cells), dtype=complex)
-    return replace(field_model(grid, empty, empty, validate=False), mean=lam)
-
-
-def _interleaved(model: GaussianFieldModel) -> np.ndarray:
-    # Block kernel of all cells at once (rows 2m, 2m+1 belong to cell m),
-    # built once and cached read-only on the model: it is frozen and k1, k2
-    # are never written.  Every block_kernel is a gather from it.
-    cached = vars(model).get("_interleaved")
-    if cached is not None:
-        return cached
-    if model.displaced:
-        raise ModelError("block kernels need a zero-mean field; this model has a mean")
-    m_cells = model.grid.n_cells
-    out = np.empty((2 * m_cells, 2 * m_cells), dtype=complex)
-    out[0::2, 0::2] = model.k2
-    out[0::2, 1::2] = model.k1
-    out[1::2, 0::2] = model.k1.conj()
-    out[1::2, 1::2] = model.k2.conj()
-    out.flags.writeable = False
-    vars(model)["_interleaved"] = out
-    return out
+    return GaussianFieldModel(grid, empty, empty, mean=lam)
 
 
 def cell_indices(cells, n_cells: int) -> np.ndarray:
@@ -265,7 +286,7 @@ def block_kernel(model: GaussianFieldModel, points) -> np.ndarray:
     if pts.size == 0:
         raise DimensionError("need at least one cell index")
     idx = (2 * pts[:, None] + _PAIR).ravel()
-    return _interleaved(model)[idx[:, None], idx]
+    return model.kernel[idx[:, None], idx]
 
 
 def intensity_integral(model: GaussianFieldModel, cells) -> float:
@@ -335,9 +356,7 @@ def builtin_model(name: str, grid: Grid, params: dict | None = None) -> Gaussian
     if name == "proper-fourier":
         base = _se_fourier_features(x, count, ell, scale)
         zero = np.zeros_like(base)
-        l1 = np.vstack([base, zero])
-        l2 = np.vstack([zero, base])
-        return field_model(grid, l1, l2)
+        return field_model(grid, np.vstack([base, zero]), np.vstack([zero, base]))
 
     locs = grid.lo[0] + span * (np.arange(count) + 0.5) / count
     bumps = np.exp(-0.5 * ((x[None, :] - locs[:, None]) / ell) ** 2)
@@ -377,12 +396,25 @@ def _param(params: dict, key: str, default, whole: bool = False):
         raise ConfigError(f"model parameter {key!r} must be a number, got {value!r}")
     if whole and not _whole(value):
         raise ConfigError(f"model parameter {key!r} must be an integer, got {value!r}")
-    if whole:
-        return int(value)
+    return int(value) if whole else _float(value)
+
+
+def _float(value) -> float:
     try:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _finite_pair(p, what: str) -> tuple[float, float]:
+    """`p` as two floats, if it is a list of exactly two finite numbers,
+    neither a bool: an [re, im] pair or a [lo, hi] window; else a
+    ValueError naming `what`."""
+    if isinstance(p, list) and len(p) == 2 and all(map(_number, p)):
+        pair = _float(p[0]), _float(p[1])
+        if math.isfinite(pair[0]) and math.isfinite(pair[1]):
+            return pair
+    raise ValueError(f"{what} must be a pair of finite numbers, got {p!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +426,12 @@ def _encode_complex(a: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in a]
 
 
-def _decode_complex(rows) -> np.ndarray:
+def _decode_complex(rows, key: str) -> np.ndarray:
     try:
-        return np.array([[complex(p[0], p[1]) for p in row] for row in rows],
-                        dtype=complex)
-    except (TypeError, IndexError) as exc:
-        raise ModelError("complex matrices must be arrays of [re, im] pairs") from exc
+        return np.array([[complex(*_finite_pair(p, f"each {key} entry")) for p in row]
+                         for row in rows], dtype=complex)
+    except TypeError as exc:
+        raise ValueError(f"{key} must be a list of rows of [re, im] pairs") from exc
 
 
 def save_model(path, model: GaussianFieldModel) -> None:
@@ -421,26 +453,24 @@ def save_model(path, model: GaussianFieldModel) -> None:
 
 
 def load_model(path) -> GaussianFieldModel:
-    """Load and validate a model file; invalid feature pairs are rejected
-    with the violation list in the error message."""
+    """Load and validate a model file; each error names the file, and an
+    invalid feature pair is rejected with its violation list."""
     with open(path, "r", encoding="ascii") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelError(f"{path}: not valid JSON: {exc}") from exc
     try:
-        window = doc["grid"]["window"]
-        cells = int(doc["grid"]["cells"])
-        d = int(doc["feature_dim"])
-        l1 = _decode_complex(doc["L1"])
-        l2 = _decode_complex(doc["L2"])
+        window, cells, d = doc["grid"]["window"], doc["grid"]["cells"], doc["feature_dim"]
+        l1, l2 = _decode_complex(doc["L1"], "L1"), _decode_complex(doc["L2"], "L2")
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"{path}: missing or malformed field: {exc}") from exc
-    grid = Grid.regular(float(window[0]), float(window[1]), cells)
-    if l1.shape != (d, cells):
-        raise ModelError(
-            f"{path}: L1 has shape {l1.shape}, expected ({d}, {cells})")
     try:
-        return field_model(grid, l1, l2)
-    except (ModelError, DimensionError) as exc:
+        for key, value in (("grid.cells", cells), ("feature_dim", d)):
+            if not _whole(value):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        if l1.shape != (d, cells):
+            raise ValueError(f"L1 has shape {l1.shape}, expected ({d}, {cells})")
+        return field_model(Grid.regular(*_finite_pair(window, "grid.window"), cells), l1, l2)
+    except (ValueError, ModelError, DimensionError) as exc:
         raise ModelError(f"{path}: {exc}") from exc

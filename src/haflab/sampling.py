@@ -19,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import CapacityError, ModelError, PreconditionError
+from .errors import CapacityError, PreconditionError
 from .kernels import GaussianFieldModel, block_kernel, cell_indices, cell_set, check_disjoint
 from .matfun import hafnian_dp
 
@@ -27,12 +27,6 @@ from .matfun import hafnian_dp
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
     """Independent per-replicate stream derived from one root seed."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -84,50 +78,22 @@ def _batch_stats(values: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _augmented(model: GaussianFieldModel) -> tuple[np.ndarray, np.ndarray]:
-    # Covariance and symmetric factor (negative eigenvalues clipped) from one
-    # eigh, cached on the model: it is frozen and k1, k2 are never written.
-    # A model failing the PSD check caches nothing, so every call raises.
-    cached = vars(model).get("_augmented")
-    if cached is not None:
-        return cached
-    k1, k2 = model.k1, model.k2
-    xx = 0.5 * (k1.real + k2.real)
-    yy = 0.5 * (k1.real - k2.real)
-    xy = 0.5 * (k2.imag - k1.imag)
-    yx = 0.5 * (k2.imag + k1.imag)
-    cov = np.block([[xx, xy], [yx, yy]])
-    w, v = np.linalg.eigh(cov)
-    floor = -1e-8 * float(np.max(np.abs(w), initial=0.0))
-    if w.min(initial=0.0) < floor:
-        raise ModelError(
-            f"augmented covariance has eigenvalue {w.min():.3e}; kernel pair inconsistent")
-    factor = v * np.sqrt(np.clip(w, 0.0, None))[None, :]
-    cov.flags.writeable = factor.flags.writeable = False
-    vars(model)["_augmented"] = cov, factor
-    return cov, factor
-
-
 def augmented_covariance(model: GaussianFieldModel) -> np.ndarray:
-    """Real covariance of (Re G(x_1..x_M), Im G(x_1..x_M)), as a copy of
-    the matrix cached on the model.
-
-    Blocks: E[XX^T] = Re(k1+k2)/2, E[YY^T] = Re(k1-k2)/2,
-    E[XY^T] = (Im k2 - Im k1)/2, E[YX^T] = (Im k2 + Im k1)/2.
-    """
-    return _augmented(model)[0].copy()
+    """Real covariance of (Re G(x_1..x_M), Im G(x_1..x_M)): a copy of
+    the model's `augmented` matrix."""
+    return model.augmented[0].copy()
 
 
 def sample_field(model: GaussianFieldModel, seed, size: int | None = None) -> np.ndarray:
     """Draw the complex field on the grid; shape (M,) or (size, M).  With no
     features it is a fresh copy of the mean, and no normals are drawn."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     m = model.grid.n_cells
     n = 1 if size is None else int(size)
     if model.feature_dim == 0:
         g = np.tile(model.mean, (n, 1))
     else:
-        z = rng.standard_normal((n, 2 * m)) @ _augmented(model)[1].T
+        z = rng.standard_normal((n, 2 * m)) @ model.augmented[1].T
         g = z[:, :m] + 1j * z[:, m:]
         if model.displaced:   # in place: a third (size, M) array raises peak memory
             g += model.mean
@@ -151,7 +117,7 @@ def _poisson(rng: np.random.Generator, rate: np.ndarray) -> np.ndarray:
 def sample_cox(model: GaussianFieldModel, seed, size: int | None = None) -> np.ndarray:
     """Doubly stochastic counts: draw the field, then conditionally
     independent Poisson counts with rate |G(x_m)|^2 vol_m."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     g = sample_field(model, rng, size=size)
     return _poisson(rng, np.abs(g) ** 2 * model.grid.volumes)
 
@@ -199,7 +165,7 @@ def field_moment_mc(model: GaussianFieldModel, points, n_samples: int, seed) -> 
     drawn in chunks of FIELD_CHUNK samples: ``field_moment_from_draws`` of
     one ``sample_field(model, seed, size=n_samples)`` draw, bit for bit."""
     pts = _moment_points(points, model.grid.n_cells)
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     values = np.empty(n_samples)
     for start in range(0, n_samples, FIELD_CHUNK):
         chunk = values[start:start + FIELD_CHUNK]
@@ -216,8 +182,7 @@ def quadrature_haf_moment(model: GaussianFieldModel, boxes, *,
     E[gamma(D_1) ... gamma(D_n)] of the doubly stochastic counts, and n!
     times the order-n correlation measure of the box product.  Pass
     ``allow_repeats=True`` for the correlation-measure semantics on
-    overlapping or repeated boxes (used by factorial moments and the
-    growth bound).
+    overlapping or repeated boxes.
     """
     cells = [cell_set(box, model.grid.n_cells).tolist() for box in boxes]
     n = len(cells)

@@ -88,10 +88,10 @@ def theta_gap(basis: fk.FockBasis, source, boxes) -> float:
 
 
 def poisson_theta_gap(basis: fk.FockBasis, profile: kn.GaussianFieldModel, boxes) -> float:
-    """Gap between theta of a deterministic intensity (a model with no
-    features) and its closed form, the product of the box rates over n!."""
+    """Relative gap between n! theta of a deterministic intensity (a model
+    with no features) and its closed form, the product of the box rates."""
     closed = math.prod(kn.intensity_integral(profile, box) for box in boxes)
-    return abs(fk.theta(basis, profile, boxes) - closed / math.factorial(len(boxes)))
+    return _rel(math.factorial(len(boxes)) * fk.theta(basis, profile, boxes), closed)
 
 
 def rho_commutation_defect(r1: fk.FockOperator, r2: fk.FockOperator) -> float:

@@ -361,6 +361,84 @@ def test_verify_oversized_rate_fails_only_the_lines_that_sample(tmp_path, capsys
         assert line.startswith("FAIL ") and " capacity: largest Poisson rate " in line
 
 
+@pytest.mark.parametrize("command", [["cox", "sample"], ["field", "sample"]])
+@pytest.mark.parametrize("doc", [3, None, [], ["seed"]])
+def test_sample_config_not_an_object_exit_2(tmp_path, capsys, command, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, out = run(*command, "--config", str(cfg), "--out", str(tmp_path / "run"),
+                    capsys=capsys)
+    assert code == 2
+    assert out.err == f"error: config {cfg} must be a JSON object\n"
+
+
+VALID_MODEL_FILE = {"grid": {"window": [0.0, 1.0], "cells": 2}, "feature_dim": 1,
+                    "L1": [[[1.0, 0.0], [0.5, 0.0]]], "L2": [[[1.0, 0.0], [0.5, 0.0]]]}
+
+
+def _model_file_with(**changes):
+    doc = json.loads(json.dumps(VALID_MODEL_FILE))
+    for key, value in changes.items():
+        *parents, leaf = key.split("__")
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        target[leaf] = value
+    return doc
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"grid__cells": 3.7}, "grid.cells must be an integer, got 3.7"),
+    ({"grid__cells": "2"}, "grid.cells must be an integer, got '2'"),
+    ({"grid__cells": True}, "grid.cells must be an integer, got True"),
+    ({"feature_dim": 1.5}, "feature_dim must be an integer, got 1.5"),
+    ({"feature_dim": "1"}, "feature_dim must be an integer, got '1'"),
+    ({"grid__window": ["0", "1"]}, "grid.window must be a pair of finite numbers, got ['0', '1']"),
+    ({"grid__window": "01"}, "grid.window must be a pair of finite numbers, got '01'"),
+    ({"grid__window": [0]}, "grid.window must be a pair of finite numbers, got [0]"),
+    ({"grid__window": [0, float("nan")]},
+     "grid.window must be a pair of finite numbers, got [0, nan]"),
+    ({"L1": [[[float("nan"), 0.0], [0.5, 0.0]]]},
+     "each L1 entry must be a pair of finite numbers, got [nan, 0.0]"),
+    ({"L2": [[[1.0, 0.0], [0.5, float("inf")]]]},
+     "each L2 entry must be a pair of finite numbers, got [0.5, inf]"),
+    ({"L1": [[[True, 0], [0.5, 0.0]]]},
+     "each L1 entry must be a pair of finite numbers, got [True, 0]"),
+    ({"L1": [[[1, 0, 9], [0.5, 0.0]]]},
+     "each L1 entry must be a pair of finite numbers, got [1, 0, 9]"),
+    ({"L1": [1.0, 0.5]}, "L1 must be a list of rows of [re, im] pairs"),
+])
+def test_cox_sample_malformed_model_file_exit_2(tmp_path, capsys, changes, message):
+    model_path = tmp_path / "model.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cells": 2, "replicates": 3, "model": {"path": str(model_path)}}))
+    model_path.write_text(json.dumps(VALID_MODEL_FILE))
+    assert run("cox", "sample", "--config", str(cfg), "--out", str(tmp_path / "ok"),
+               capsys=capsys)[0] == 0
+    model_path.write_text(json.dumps(_model_file_with(**changes)))
+    out_dir = tmp_path / "run"
+    code, out = run("cox", "sample", "--config", str(cfg), "--out", str(out_dir),
+                    capsys=capsys)
+    assert code == 2 and out.out == ""
+    assert out.err.startswith(f"error: {model_path}: ") and message in out.err
+    assert len(out.err.splitlines()) == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("pair", [[True, 0], [1, 0, 9], [float("nan"), 0], [1], "10"])
+def test_cox_sample_malformed_profile_pair_exit_2(tmp_path, capsys, pair):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cells": 2, "replicates": 3,
+                               "profile": {"lambda": [[1.0, 0.0], pair]}}))
+    out_dir = tmp_path / "run"
+    code, out = run("cox", "sample", "--config", str(cfg), "--out", str(out_dir),
+                    capsys=capsys)
+    assert code == 2
+    assert out.err == (f"error: each profile 'lambda' entry must be a pair of finite "
+                       f"numbers, got {pair!r}\n")
+    assert not out_dir.exists()
+
+
 def test_verify_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
@@ -423,6 +501,11 @@ def test_verify_unknown_config_key(tmp_path, capsys):
     ({"replicates": 0}, "verify needs at least 1 replicate, got 'replicates' 0"),
     ({"models": [{"builtin": "proper-fourier", "params": {"n_freq": 10_000_000_000_000}}]},
      "Unable to allocate"),
+    (3, "must be a JSON object"),
+    (None, "must be a JSON object"),
+    (True, "must be a JSON object"),
+    ([], "must be a JSON object"),
+    (["seed"], "must be a JSON object"),
 ])
 def test_verify_malformed_config_exit_2(tmp_path, capsys, doc, message):
     cfg = tmp_path / "cfg.json"

@@ -237,8 +237,8 @@ def test_block_kernel_matches_four_slice_reference_bitwise(seed):
 
 def test_interleaved_kernel_is_cached_read_only_and_blocks_are_fresh():
     model = kn.builtin_model("alpha-beta-demo", GRID)
-    full = kn._interleaved(model)
-    assert kn._interleaved(model) is full
+    full = model.kernel
+    assert model.kernel is full
     assert not full.flags.writeable
     with pytest.raises(ValueError):
         full[0, 0] = 1.0
@@ -247,6 +247,45 @@ def test_interleaved_kernel_is_cached_read_only_and_blocks_are_fresh():
     assert block.flags.writeable and not np.shares_memory(block, full)
     block[:] = 0.0
     assert np.array_equal(kn.block_kernel(model, [1, 3]), four_slice_block(model, [1, 3]))
+
+
+def test_kernels_are_derived_once_from_read_only_features():
+    l1 = np.array([[1.0, 0.5, 0.2, 0.1, 0.3]])
+    model = kn.field_model(GRID, l1, l1)
+    l1[0, 0] = 9.0   # the model holds its own copy
+    assert model.l1[0, 0] == 1.0
+    for name in ("l1", "l2", "k1", "k2", "kernel"):
+        value = getattr(model, name)
+        assert getattr(model, name) is value and not value.flags.writeable
+    cov, factor = model.augmented
+    assert model.augmented[0] is cov and not cov.flags.writeable and not factor.flags.writeable
+    assert np.array_equal(model.k1, model.l1.T @ model.l1.conj())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.k1 = np.zeros((5, 5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_model_rejects_non_finite_features(bad):
+    l1 = np.ones((1, GRID.n_cells), dtype=complex)
+    l1[0, 2] = bad
+    with pytest.raises(ModelError, match="feature values must be finite"):
+        kn.GaussianFieldModel(GRID, l1, np.ones_like(l1))
+    with pytest.raises(ModelError, match="feature values must be finite"):
+        kn.GaussianFieldModel(GRID, np.ones_like(l1), l1)
+
+
+def test_from_alpha_beta_models_pass_validation():
+    # from_alpha_beta skips validate_features; its construction must make
+    # every pair admissible, whatever the shape and scale of alpha and beta
+    rng = np.random.default_rng(31)
+    for _ in range(240):
+        cells, half = int(rng.integers(1, 25)), int(rng.integers(1, 5))
+        scales = 10.0 ** rng.uniform(-3, 3, size=2)
+        alpha, beta = (s * (rng.standard_normal((half, cells))
+                            + 1j * rng.standard_normal((half, cells))) for s in scales)
+        model = kn.from_alpha_beta(alpha, beta, kn.Grid.regular(0.0, 1.0, cells))
+        assert model.feature_dim == 2 * half
+        assert kn.validate_features(model.l1, model.l2) == []
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +325,7 @@ def test_intensity_integral_cases():
     assert kn.intensity_integral(model, []) == 0.0
     grid1 = kn.Grid(np.array([0.0]), np.array([0.5]),
                     np.array([[0.25]]), np.array([0.5]))
-    single = kn.field_model(grid1, [[1.0], [1j]], [[1.0], [1j]], validate=False)
+    single = kn.GaussianFieldModel(grid1, [[1.0], [1j]], [[1.0], [1j]])
     assert kn.intensity_integral(single, [0]) == pytest.approx(1.0)
     full = kn.intensity_integral(model, range(GRID.n_cells))
     trace = float(np.dot(GRID.volumes, model.k1.diagonal().real))
@@ -330,7 +369,7 @@ def test_intensity_profile_is_a_model_with_no_features_and_a_mean():
 def test_mean_rejects_a_wrong_shape_and_non_finite_values(mean, error, message):
     model = kn.builtin_model("real-gauss", GRID)
     with pytest.raises(error, match=message):
-        kn.GaussianFieldModel(GRID, model.l1, model.l2, model.k1, model.k2, mean=mean)
+        kn.GaussianFieldModel(GRID, model.l1, model.l2, mean=mean)
     with pytest.raises(error, match=message):
         kn.intensity_profile(GRID, mean)
 

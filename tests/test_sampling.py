@@ -72,11 +72,9 @@ def test_augmented_symmetric_and_psd():
 
 
 def test_augmented_rejects_inconsistent_pair():
-    # hand-built kernels that no field can have: k1 = 0 but k2 != 0
+    # features whose kernels no field can have: |k2| = 3 > k1 = 1
     grid = kn.Grid.regular(0.0, 1.0, 2)
-    base = kn.builtin_model("real-gauss", grid, {"n_centers": 1})
-    broken = kn.GaussianFieldModel(grid, base.l1, base.l2,
-                                   np.zeros((2, 2)), base.k2)
+    broken = kn.GaussianFieldModel(grid, [[1, 1]], [[3, 3]])
     for _ in range(3):   # a failed check is not cached: every call raises
         with pytest.raises(ModelError):
             sp.augmented_covariance(broken)
