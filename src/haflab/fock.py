@@ -155,8 +155,8 @@ def max_abs_on_domain(op: FockOperator, margin: int) -> float:
 def hermiticity_defect(op: FockOperator, margin: int) -> float:
     """Max entry of op - op* over the square safe sub-basis block."""
     idx = op.basis.safe_indices(margin)
-    sub = op.mat[np.ix_(idx, idx)].toarray()
-    return float(np.abs(sub - sub.conj().T).max())
+    sub = op.mat[np.ix_(idx, idx)]
+    return float(abs(sub - sub.conj().T).max())
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +465,10 @@ def bogoliubov_check(k1_map, k2_map) -> BogoliubovReport:
     vectors = [np.eye(p, dtype=complex)[j] for j in range(min(p, 2))]
     for _ in range(4):   # plus four fixed random test vectors
         vectors.append(rng.standard_normal(p) + 1j * rng.standard_normal(p))
+    ops = [b_op(v) for v in vectors]   # one operator per test vector
     dev = 0.0
-    for f in vectors:
-        for h in vectors:
-            fock_val = vacuum_expectation(b_op(f) @ b_op(h))
+    for f, op_f in zip(vectors, ops):
+        for h, op_h in zip(vectors, ops):
+            fock_val = vacuum_expectation(op_f @ op_h)
             dev = max(dev, abs(fock_val - t2_closed(f, h)))
     return BogoliubovReport(res_sym, res_ccr, True, dev)

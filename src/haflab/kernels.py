@@ -32,47 +32,37 @@ _number = _instance(int, float, np.integer, np.floating)
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Axis-aligned window split into cells with centers and volumes."""
+    """A window of the line cut into cells, held as its read-only cell
+    edges; the ends, the cell count, the midpoints and the lengths are
+    derived from them once, read-only."""
 
-    lo: np.ndarray
-    hi: np.ndarray
-    centers: np.ndarray   # (M, D)
-    volumes: np.ndarray   # (M,)
+    edges: np.ndarray   # (M + 1,) strictly increasing and finite
+    lo: float = field(init=False)
+    hi: float = field(init=False)
+    n_cells: int = field(init=False)
+    centers: np.ndarray = field(init=False)   # (M,) midpoints
+    volumes: np.ndarray = field(init=False)   # (M,) lengths
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        centers = np.asarray(self.centers, dtype=float)
-        if centers.ndim == 1:
-            centers = centers[:, None]
-        volumes = np.asarray(self.volumes, dtype=float)
-        for name, value in (("lo", lo), ("hi", hi), ("centers", centers), ("volumes", volumes)):
+        edges = np.array(self.edges, dtype=float)
+        if edges.ndim != 1 or edges.size < 2:
+            raise DimensionError(f"need a flat array of at least two cell edges, "
+                                 f"got shape {edges.shape}")
+        volumes = np.diff(edges)
+        if not (np.isfinite(edges).all() and (volumes > 0).all()):
+            raise DimensionError("cell edges must be finite and strictly increasing")
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        for name, value in (("edges", _read_only(edges)), ("lo", float(edges[0])),
+                            ("hi", float(edges[-1])), ("n_cells", volumes.size),
+                            ("centers", _read_only(centers)), ("volumes", _read_only(volumes))):
             object.__setattr__(self, name, value)
-        if centers.shape[0] != volumes.shape[0] or centers.shape[0] < 1:
-            raise DimensionError("need one center and one volume per cell")
-        if np.any(volumes <= 0):
-            raise DimensionError("cell volumes must be positive")
-        window = float(np.prod(hi - lo))
-        total = float(volumes.sum())
-        if abs(total - window) > 1e-12 * max(1.0, abs(window)):
-            raise DimensionError(
-                f"cell volumes sum to {total}, window volume is {window}")
-        if len({tuple(c) for c in centers}) != centers.shape[0]:
-            raise DimensionError("cell centers must be pairwise distinct")
 
     @classmethod
     def regular(cls, lo: float, hi: float, cells: int) -> "Grid":
-        """Equal-volume subdivision of a one-dimensional window."""
-        if cells < 1:
+        """Equal-length cells over the window [lo, hi]."""
+        if cells < 1:   # np.linspace would raise a bare ValueError on a negative count
             raise DimensionError("need at least one cell")
-        edges = np.linspace(lo, hi, cells + 1)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        return cls(np.array([lo]), np.array([hi]),
-                   centers[:, None], np.diff(edges))
-
-    @property
-    def n_cells(self) -> int:
-        return self.centers.shape[0]
+        return cls(np.linspace(lo, hi, cells + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,8 +328,8 @@ def builtin_model(name: str, grid: Grid, params: dict | None = None) -> Gaussian
     if name not in _BUILTINS:
         raise ConfigError(f"unknown builtin model {name!r}")
     params = dict(params or {})
-    x = grid.centers[:, 0]
-    span = float(grid.hi[0] - grid.lo[0])
+    x = grid.centers
+    span = grid.hi - grid.lo
     key, default, fraction = _BUILTINS[name]
     count = _param(params, key, default, whole=True)
     if count < 1:
@@ -358,14 +348,14 @@ def builtin_model(name: str, grid: Grid, params: dict | None = None) -> Gaussian
         zero = np.zeros_like(base)
         return field_model(grid, np.vstack([base, zero]), np.vstack([zero, base]))
 
-    locs = grid.lo[0] + span * (np.arange(count) + 0.5) / count
+    locs = grid.lo + span * (np.arange(count) + 0.5) / count
     bumps = np.exp(-0.5 * ((x[None, :] - locs[:, None]) / ell) ** 2)
     if name == "real-gauss":
         return field_model(grid, scale * bumps, scale * bumps)
     # Winding phases decorrelate the kernel across the window; keeping
     # |alpha| = |beta| pointwise caps the self-moment growth.
     waves = np.exp(2j * np.pi * (np.arange(1, count + 1)[:, None]
-                                 * (x[None, :] - grid.lo[0]) / span))
+                                 * (x[None, :] - grid.lo) / span))
     return from_alpha_beta(scale * waves * bumps, scale * bumps, grid)
 
 
@@ -374,8 +364,7 @@ def model_entry(entry: dict, grid: Grid) -> tuple[str, GaussianFieldModel]:
     name, "params": {...}}`` on `grid`, to its name and model."""
     if "path" in entry:
         model = load_model(entry["path"])
-        if (model.grid.n_cells != grid.n_cells or model.grid.lo[0] != grid.lo[0]
-                or model.grid.hi[0] != grid.hi[0]):
+        if not np.array_equal(model.grid.edges, grid.edges):
             raise ConfigError(f"{entry['path']}: model grid {_describe(model.grid)} "
                               f"differs from the config grid {_describe(grid)}")
         return entry["path"], model
@@ -385,7 +374,7 @@ def model_entry(entry: dict, grid: Grid) -> tuple[str, GaussianFieldModel]:
 
 
 def _describe(grid: Grid) -> str:
-    return f"[{float(grid.lo[0])!r}, {float(grid.hi[0])!r}] in {grid.n_cells} cells"
+    return f"[{grid.lo!r}, {grid.hi!r}] in {grid.n_cells} cells"
 
 
 def _param(params: dict, key: str, default, whole: bool = False):
@@ -435,13 +424,15 @@ def _decode_complex(rows, key: str) -> np.ndarray:
 
 
 def save_model(path, model: GaussianFieldModel) -> None:
+    """Write `model` as a model file, which holds a regular grid by its
+    window and cell count; a mean or an uneven grid is refused first."""
     grid = model.grid
-    if grid.centers.shape[1] != 1:
-        raise ConfigError("model files support one-dimensional grids only")
+    if not np.array_equal(grid.edges, Grid.regular(grid.lo, grid.hi, grid.n_cells).edges):
+        raise ConfigError("model files hold regular grids only")
     if model.displaced:
         raise ConfigError("model files hold zero-mean fields only; this model has a mean")
     doc = {
-        "grid": {"window": [float(grid.lo[0]), float(grid.hi[0])],
+        "grid": {"window": [grid.lo, grid.hi],
                  "cells": grid.n_cells},
         "feature_dim": model.feature_dim,
         "L1": _encode_complex(model.l1),
@@ -469,6 +460,8 @@ def load_model(path) -> GaussianFieldModel:
         for key, value in (("grid.cells", cells), ("feature_dim", d)):
             if not _whole(value):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
+        if d == 0:   # `[]` holds no row length: no feature rows on the file's cells
+            l1, l2 = (a.reshape(0, max(cells, 0)) if a.shape == (0,) else a for a in (l1, l2))
         if l1.shape != (d, cells):
             raise ValueError(f"L1 has shape {l1.shape}, expected ({d}, {cells})")
         return field_model(Grid.regular(*_finite_pair(window, "grid.window"), cells), l1, l2)

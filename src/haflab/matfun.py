@@ -152,7 +152,7 @@ def hafnian_dp(matrix) -> complex:
         return 1.0 + 0.0j
     (pairs, _), *levels = _dp_schedule(dim)
     flat = c.ravel()
-    haf = flat.take(pairs[:, 0])
+    haf = flat.take(pairs.ravel())
     for ij, slot in levels:
         terms = flat.take(ij)
         terms *= haf.take(slot)

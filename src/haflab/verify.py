@@ -95,8 +95,10 @@ def poisson_theta_gap(basis: fk.FockBasis, profile: kn.GaussianFieldModel, boxes
 
 
 def rho_commutation_defect(r1: fk.FockOperator, r2: fk.FockOperator) -> float:
-    """Largest entry of the commutator of two densities on the margin-4 domain."""
-    return fk.max_abs_on_domain(fk.commutator(r1, r2), 4)
+    """Largest entry of the commutator of two densities on the margin-4 domain over
+    the larger largest entry of its two products, each formed on those columns only."""
+    ab, ba = r1.mat @ r2.on_domain(4), r2.mat @ r1.on_domain(4)
+    return float(abs(ab - ba).max() / max(1e-300, abs(ab).max(), abs(ba).max()))
 
 
 def rho_hermiticity_defect(r: fk.FockOperator) -> float:
@@ -105,13 +107,13 @@ def rho_hermiticity_defect(r: fk.FockOperator) -> float:
 
 
 def quasifree_pairing_gap(basis: fk.FockBasis, source, hs) -> float:
-    """Gap between T_k and the hafnian of the two-point matrix, whose upper
-    triangle holds T2(h_a, h_b) for a < b, for an even number k of `hs`."""
+    """Relative gap between T_k and the hafnian of the two-point matrix, whose
+    upper triangle holds T2(h_a, h_b) for a < b, for an even number k of `hs`."""
     tk = fk.quasifree_T(basis, source, hs)
     t2 = np.zeros((len(hs), len(hs)), dtype=complex)
     for a, b in zip(*np.triu_indices(len(hs), 1)):
         t2[a, b] = fk.quasifree_T(basis, source, [hs[a], hs[b]])
-    return abs(tk - mf.hafnian_dp(t2))
+    return _rel(tk, mf.hafnian_dp(t2))
 
 
 def growth_bound(model: kn.GaussianFieldModel, box, n: int) -> float:
@@ -211,7 +213,7 @@ def _field_table(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig,
 
     def field_covariance():
         g = draws()
-        prods = g[:, 0] * np.conj(g[:, m_cells - 1])
+        prods = g.T[0] * np.conj(g.T[m_cells - 1])
         se = max(prods.real.std(), prods.imag.std()) / math.sqrt(cfg.mc_samples)
         return _zscore(float(np.abs(prods.mean() - model.k1[0, m_cells - 1])), 0.0, float(se))
 

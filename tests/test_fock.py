@@ -782,6 +782,15 @@ def test_bogoliubov_functional_calculus_pair():
     assert rep.t2_max_deviation <= 1e-10
 
 
+def test_bogoliubov_builds_one_operator_per_test_vector(monkeypatch):
+    # two unit vectors and four random ones: six builds for 36 (f, h) pairs
+    built = []
+    original = fk.create
+    monkeypatch.setattr(fk, "create", lambda basis, g: built.append(g) or original(basis, g))
+    rep = fk.bogoliubov_check(np.zeros((3, 3)), np.eye(3))
+    assert rep.passed and len(built) == 6
+
+
 def test_bogoliubov_zero_pair_fails():
     rep = fk.bogoliubov_check(np.zeros((2, 2)), np.zeros((2, 2)))
     assert not rep.passed

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -24,16 +25,57 @@ def test_regular_grid_partitions_window():
     g = kn.Grid.regular(-1.0, 3.0, 8)
     assert g.n_cells == 8
     assert g.volumes.sum() == pytest.approx(4.0, abs=1e-14)
-    assert len({tuple(c) for c in g.centers}) == 8
+    assert len(set(g.centers)) == 8
+
+
+def test_regular_grid_is_its_linspace_edges():
+    g = kn.Grid.regular(-1.0, 3.0, 8)
+    edges = np.linspace(-1.0, 3.0, 9)
+    assert np.array_equal(g.edges, edges)
+    assert (g.lo, g.hi) == (-1.0, 3.0) and type(g.lo) is float and type(g.hi) is float
+    assert np.array_equal(g.centers, 0.5 * (edges[:-1] + edges[1:]))
+    assert np.array_equal(g.volumes, np.diff(edges))
+    assert g.centers.shape == g.volumes.shape == (8,)
+    assert [f.name for f in dataclasses.fields(kn.Grid) if f.init] == ["edges"]
 
 
 def test_grid_rejects_bad_volumes():
-    with pytest.raises(DimensionError):
-        kn.Grid(np.array([0.0]), np.array([1.0]),
-                np.array([[0.25], [0.75]]), np.array([0.5, 0.25]))
-    with pytest.raises(DimensionError):
-        kn.Grid(np.array([0.0]), np.array([1.0]),
-                np.array([[0.5], [0.5]]), np.array([0.5, 0.5]))
+    # a zero-length cell, and centers out of order, as edges
+    with pytest.raises(DimensionError, match="strictly increasing"):
+        kn.Grid([0.0, 0.5, 0.5, 1.0])
+    with pytest.raises(DimensionError, match="strictly increasing"):
+        kn.Grid([0.0, 0.75, 0.25, 1.0])
+
+
+@pytest.mark.parametrize("edges, match", [
+    ([[0.0, 1.0]], "at least two cell edges"),
+    ([[0.0], [1.0]], "at least two cell edges"),
+    ([0.5], "at least two cell edges"),
+    ([], "at least two cell edges"),
+    (2.0, "at least two cell edges"),
+    ([0.0, np.nan, 1.0], "finite"),
+    ([0.0, 1.0, np.inf], "finite"),
+    ([-np.inf, 0.0], "finite"),
+    ([0.0, 1.0, 1.0], "strictly increasing"),
+    ([1.0, 0.0], "strictly increasing"),
+    ([0.0, 2.0, 1.0, 3.0], "strictly increasing"),
+])
+def test_grid_rejects_bad_edges(edges, match):
+    with pytest.raises(DimensionError, match=match):
+        kn.Grid(edges)
+
+
+def test_grid_copies_its_edges_and_is_read_only():
+    edges = np.array([0.0, 0.1, 0.5, 1.0])
+    g = kn.Grid(edges)
+    edges[1] = 0.9
+    assert g.edges[1] == 0.1 and g.volumes[0] == 0.1
+    assert np.allclose(g.volumes, [0.1, 0.4, 0.5]) and g.n_cells == 3
+    for a in (g.edges, g.centers, g.volumes):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.lo = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +365,7 @@ def test_unknown_builtin():
 def test_intensity_integral_cases():
     model = kn.builtin_model("proper-fourier", GRID)
     assert kn.intensity_integral(model, []) == 0.0
-    grid1 = kn.Grid(np.array([0.0]), np.array([0.5]),
-                    np.array([[0.25]]), np.array([0.5]))
+    grid1 = kn.Grid([0.0, 0.5])
     single = kn.GaussianFieldModel(grid1, [[1.0], [1j]], [[1.0], [1j]])
     assert kn.intensity_integral(single, [0]) == pytest.approx(1.0)
     full = kn.intensity_integral(model, range(GRID.n_cells))
@@ -397,6 +438,44 @@ def test_model_file_roundtrip(tmp_path):
     assert np.allclose(back.l1, model.l1)
     assert np.allclose(back.k1, model.k1)
     assert back.grid.n_cells == model.grid.n_cells
+
+
+def test_model_file_refuses_an_uneven_grid(tmp_path):
+    # the file holds a window and a cell count, so it would load on thirds
+    grid = kn.Grid([0.0, 0.1, 0.5, 1.0])
+    model = kn.builtin_model("real-gauss", grid, {"n_centers": 1})
+    path = tmp_path / "model.json"
+    with pytest.raises(ConfigError, match="model files hold regular grids only"):
+        kn.save_model(path, model)
+    assert not path.exists()
+
+
+def test_model_file_roundtrip_keeps_a_regular_grid_bitwise(tmp_path):
+    grid = kn.Grid.regular(-0.3, 2.1, 7)
+    path = tmp_path / "model.json"
+    kn.save_model(path, kn.builtin_model("proper-fourier", grid))
+    back = kn.load_model(path).grid
+    assert np.array_equal(back.edges, grid.edges)
+    assert (back.lo, back.hi, back.n_cells) == (-0.3, 2.1, 7)
+
+
+def test_model_file_roundtrips_a_model_with_no_features(tmp_path):
+    empty = np.zeros((0, 3))
+    model = kn.field_model(kn.Grid.regular(0.0, 1.0, 3), empty, empty)
+    path = tmp_path / "model.json"
+    kn.save_model(path, model)
+    assert json.loads(path.read_text())["L1"] == []
+    back = kn.load_model(path)
+    assert back.l1.shape == back.l2.shape == (0, 3) and back.feature_dim == 0
+    assert np.array_equal(back.k1, np.zeros((3, 3)))
+
+
+def test_model_file_refuses_no_feature_rows_for_a_positive_feature_dim(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"grid": {"window": [0.0, 1.0], "cells": 3},
+                                "feature_dim": 1, "L1": [], "L2": []}))
+    with pytest.raises(ModelError, match=r"L1 has shape \(0,\), expected \(1, 3\)"):
+        kn.load_model(path)
 
 
 def test_model_file_rejects_invalid_features(tmp_path):

@@ -316,8 +316,7 @@ def test_quadrature_brute_force_oracle():
 def uneven_grid(m_cells, seed):
     rng = np.random.default_rng(seed)
     edges = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, m_cells - 1)), [1.0]])
-    return kn.Grid(np.array([0.0]), np.array([1.0]),
-                   0.5 * (edges[:-1] + edges[1:])[:, None], np.diff(edges))
+    return kn.Grid(edges)
 
 
 def per_tuple_quadrature(model, boxes):
