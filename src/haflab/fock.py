@@ -11,7 +11,7 @@ exactly.
 Operators are stored as sparse complex matrices over the enumerated
 states; index 0 is the vacuum.  scipy.sparse is imported by the functions
 that assemble an operator, so the basis and the vacuum routes (`theta`,
-`moment`, `quasifree_T`) run on numpy alone.
+`moment`, `quasifree_T`, `bogoliubov_check`) run on numpy alone.
 """
 
 from __future__ import annotations
@@ -140,16 +140,8 @@ def zero(basis: FockBasis) -> FockOperator:
     return FockOperator(basis, sparse.csr_matrix((basis.size, basis.size), dtype=complex))
 
 
-def commutator(a: FockOperator, b: FockOperator) -> FockOperator:
-    return a @ b - b @ a
-
-
 def vacuum_expectation(op: FockOperator) -> complex:
     return complex(op.mat[0, 0])
-
-
-def max_abs_on_domain(op: FockOperator, margin: int) -> float:
-    return float(np.abs(op.on_domain(margin).data).max(initial=0.0))
 
 
 def hermiticity_defect(op: FockOperator, margin: int) -> float:
@@ -229,18 +221,15 @@ def neutral(basis: FockBasis, cells) -> FockOperator:
 
 
 # ---------------------------------------------------------------------------
-# The ladder table: the dressed pair A+-(x_m) at every cell, whose quadratic
-# quadrature is the particle density
+# The ladder table: the dressed annihilator A-(x_m) at every cell, whose
+# adjoint is A+(x_m) and whose quadratic quadrature is the particle density
 # ---------------------------------------------------------------------------
 
 
 def _ladders(basis: FockBasis, source: GaussianFieldModel):
-    """Ladder table (up, down) of a field model.
-
-    Each half is a triple (g, f, c), g and f of shape (n_modes, M) and c of
-    shape (M,), with A(x_m) = create(g[:, m]) + annihilate(f[:, m]) + c[m]:
-    A+ = (e/sqrt(vol) + conj l2, conj l1, conj mean) and
-    A- = (l1, e/sqrt(vol) + l2, mean), e the grid modes.  A model with no
+    """Ladder table (g, f, c) of a field model: g and f of shape (n_modes, M)
+    and c of shape (M,), with A-(x_m) = create(g[:, m]) + annihilate(f[:, m])
+    + c[m] = (l1, e/sqrt(vol) + l2, mean), e the grid modes.  A model with no
     features (`intensity_profile`) lives on a grid-only basis.
     """
     grid, l1, l2, mean = source.grid, source.l1, source.l2, source.mean
@@ -251,25 +240,30 @@ def _ladders(basis: FockBasis, source: GaussianFieldModel):
     e, d1, d2 = np.zeros((3, basis.n_modes, grid.n_cells), dtype=complex)
     e[:basis.n_grid] = np.diag(1.0 / np.sqrt(grid.volumes))
     d1[basis.n_grid:], d2[basis.n_grid:] = l1, l2
-    return (e + d2.conj(), d1.conj(), mean.conj()), (d1, e + d2, mean)
+    return d1, e + d2, mean
 
 
-def _at(ladders, m) -> list[tuple]:
-    """(g, f, c) of A+(x_m) and of A-(x_m), m read by the cell-index rule."""
-    (m,) = cell_indices([m], ladders[1][2].size)
-    return [tuple(v[..., m] for v in half) for half in ladders]
+def _adjoint(g, f, c):
+    """Coefficients of the adjoint of create(g) + annihilate(f) + c."""
+    return f.conj(), g.conj(), np.conj(c)
+
+
+def _at(ladders, m) -> tuple:
+    """(g, f, c) of A-(x_m), m read by the cell-index rule."""
+    (m,) = cell_indices([m], ladders[2].size)
+    return tuple(v[..., m] for v in ladders)
 
 
 def ladder_pair(basis: FockBasis, source, m) -> tuple[FockOperator, FockOperator]:
     """(A+, A-) at cell m of a field model."""
-    up, down = _at(_ladders(basis, source), m)
-    return _ladder_op(basis, *up), _ladder_op(basis, *down)
+    down = _ladder_op(basis, *_at(_ladders(basis, source), m))
+    return down.adjoint(), down
 
 
 def phi(basis: FockBasis, model: GaussianFieldModel, m) -> FockOperator:
     """Field operator at cell m, create(l1 column) + annihilate(l2 column) on
     the feature modes: A-(x_m) without its grid ladder."""
-    g, f, _ = _at(_ladders(basis, model), m)[1]
+    g, f, _ = _at(_ladders(basis, model), m)
     f[:basis.n_grid] = 0   # drops the grid ladder; the table is this call's own
     return create(basis, g) + annihilate(basis, f)
 
@@ -277,9 +271,7 @@ def phi(basis: FockBasis, model: GaussianFieldModel, m) -> FockOperator:
 def psi(basis: FockBasis, model: GaussianFieldModel, m) -> FockOperator:
     """Adjoint field operator, create(conj l2) + annihilate(conj l1):
     A+(x_m) without its grid ladder."""
-    g, f, _ = _at(_ladders(basis, model), m)[0]
-    g[:basis.n_grid] = 0   # drops the grid ladder; the table is this call's own
-    return create(basis, g) + annihilate(basis, f)
+    return phi(basis, model, m).adjoint()
 
 
 def _rho_apply(basis: FockBasis, source):
@@ -290,22 +282,23 @@ def _rho_apply(basis: FockBasis, source):
     def apply(cells, vec: np.ndarray) -> np.ndarray:
         out = np.zeros_like(vec)
         for m in sorted(cells):
-            up, down = _at(ladders, m)
-            out += vols[m] * _ladder_apply(basis, *up, _ladder_apply(basis, *down, vec))
+            down = _at(ladders, m)
+            out += vols[m] * _ladder_apply(basis, *_adjoint(*down), _ladder_apply(basis, *down, vec))
         return out
 
     return apply
 
 
 def rho(basis: FockBasis, source, cells) -> FockOperator:
-    """Particle density of a cell set: sum_m vol_m A+(x_m) A-(x_m)."""
-    grid = source.grid
-    ladders = _ladders(basis, source)
-    out = zero(basis)
-    for m in cell_set(cells, grid.n_cells).tolist():
-        up, down = _at(ladders, m)
-        out = out + float(grid.volumes[m]) * (_ladder_op(basis, *up) @ _ladder_op(basis, *down))
-    return out
+    """Particle density of a cell set, sum_m vol_m A+(x_m) A-(x_m) = D* D, D
+    the rows sqrt(vol_m) A-(x_m) stacked over the cells (none: zero)."""
+    from scipy import sparse
+    ladders, root = _ladders(basis, source), np.sqrt(source.grid.volumes)
+    rows = [sparse.csr_matrix((0, basis.size), dtype=complex)]
+    for m in cell_set(cells, source.grid.n_cells).tolist():
+        rows.append(_ladder_op(basis, *(root[m] * v[..., m] for v in ladders)).mat)
+    d = sparse.vstack(rows, format="csr")
+    return FockOperator(basis, (d.conj().T @ d).tocsr())
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +377,12 @@ def moment(basis: FockBasis, source, boxes) -> complex:
 def _b_coeffs(source, ladders, h):
     """(u, w, shift) with b_field(h) = create(u) + annihilate(w) + shift: the
     table is linear in the cell, so with vh = vol * h the sum over cells is
-    up . vh + down . conj(vh), one creation and one annihilation."""
+    A+ . vh + A- . conj(vh), one creation and one annihilation."""
     h = np.asarray(h, dtype=complex)
     if h.shape != (source.grid.n_cells,):
         raise DimensionError("test function must have one value per cell")
     vh = source.grid.volumes * h
-    return tuple(a @ vh + b @ vh.conj() for a, b in zip(*ladders))
+    return tuple(a @ vh + b @ vh.conj() for a, b in zip(_adjoint(*ladders), ladders))
 
 
 def b_field(basis: FockBasis, source, h) -> FockOperator:
@@ -437,7 +430,8 @@ def bogoliubov_check(k1_map, k2_map) -> BogoliubovReport:
     """Check the two admissibility conditions on a dressed ladder pair
     A+(h) = a+(K2 h) + a-(K1 h), and when they hold compare the closed-form
     two-point function ((K1 + conj K2 conj) f, . h) against the vacuum
-    expectation computed in a small truncated Fock space."""
+    expectation <0|b(f) b(h)|0>, pushed through the ladder tables of a
+    small truncated Fock space with no operator built."""
     k1 = np.asarray(k1_map, dtype=complex)
     k2 = np.asarray(k2_map, dtype=complex)
     if k1.ndim != 2 or k1.shape != k2.shape:
@@ -450,25 +444,16 @@ def bogoliubov_check(k1_map, k2_map) -> BogoliubovReport:
         return BogoliubovReport(res_sym, res_ccr, False, None)
 
     basis = FockBasis(q, 0, 2)
-
-    def b_op(h):
-        up = k2 @ h + np.conj(k1 @ h)
-        down = k1 @ h + np.conj(k2 @ h)
-        return _ladder_op(basis, up, down, 0)
-
-    def t2_closed(f, h):
-        uf = k1 @ f + np.conj(k2 @ f)
-        uh = k1 @ h + np.conj(k2 @ h)
-        return complex(np.vdot(uh, uf))
-
     rng = np.random.default_rng(0)
     vectors = [np.eye(p, dtype=complex)[j] for j in range(min(p, 2))]
     for _ in range(4):   # plus four fixed random test vectors
         vectors.append(rng.standard_normal(p) + 1j * rng.standard_normal(p))
-    ops = [b_op(v) for v in vectors]   # one operator per test vector
+    # b(v) = A+(v) + A+(v)* = create(conj w) + annihilate(w), w = (K1 + conj K2 conj) v
+    ws = [k1 @ v + np.conj(k2 @ v) for v in vectors]
     dev = 0.0
-    for f, op_f in zip(vectors, ops):
-        for h, op_h in zip(vectors, ops):
-            fock_val = vacuum_expectation(op_f @ op_h)
-            dev = max(dev, abs(fock_val - t2_closed(f, h)))
+    for wh in ws:
+        b_h = _ladder_apply(basis, wh.conj(), wh, 0.0, basis.vacuum())   # b(h)|0>
+        for wf in ws:
+            fock_val = complex(_ladder_apply(basis, wf.conj(), wf, 0.0, b_h)[0])
+            dev = max(dev, abs(fock_val - complex(np.vdot(wh, wf))))
     return BogoliubovReport(res_sym, res_ccr, True, dev)
