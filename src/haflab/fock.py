@@ -50,9 +50,9 @@ class FockBasis:
         self.n_modes = n = n_grid + n_feature
         # Sector k + 1 is every sector-k row plus e_j, lexsorted and
         # deduplicated; the position a raised row lands at is its source's
-        # +1_j neighbour, so the raising tables come with the basis: per
-        # mode j (rows), the index of each below-cutoff state's neighbour
-        # and the matrix element sqrt(n_j + 1).
+        # +1_j neighbour, so the raising tables come with the basis: per mode
+        # j (rows), the neighbour's index and sqrt(n_j + 1) for each source,
+        # the K states below the cutoff, which are the basis's first K states.
         sectors, dst = [np.zeros((1, n), dtype=np.int64)], [np.zeros((n, 0), dtype=np.int64)]
         for _ in range(truncation):
             low = sectors[-1]
@@ -68,9 +68,8 @@ class FockBasis:
         self.occupations = occ = np.concatenate(sectors)
         occ.flags.writeable = False
         self.totals = occ.sum(axis=1)
-        self.raise_src = np.nonzero(self.totals < truncation)[0]
         self.raise_dst = np.concatenate(dst, axis=1)
-        self.raise_amp = np.sqrt(occ[self.raise_src].T + 1.0)
+        self.raise_amp = np.sqrt(occ[:self.raise_dst.shape[1]].T + 1.0)
 
     @property
     def size(self) -> int:
@@ -135,15 +134,6 @@ def identity(basis: FockBasis) -> FockOperator:
     return FockOperator(basis, sparse.identity(basis.size, dtype=complex, format="csr"))
 
 
-def zero(basis: FockBasis) -> FockOperator:
-    from scipy import sparse
-    return FockOperator(basis, sparse.csr_matrix((basis.size, basis.size), dtype=complex))
-
-
-def vacuum_expectation(op: FockOperator) -> complex:
-    return complex(op.mat[0, 0])
-
-
 def hermiticity_defect(op: FockOperator, margin: int) -> float:
     """Max entry of op - op* over the square safe sub-basis block."""
     idx = op.basis.safe_indices(margin)
@@ -156,21 +146,17 @@ def hermiticity_defect(op: FockOperator, margin: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mode_vector(basis: FockBasis, g) -> np.ndarray:
-    v = np.asarray(g, dtype=complex)
-    if v.shape != (basis.n_modes,):
-        raise DimensionError(f"vector must have length {basis.n_modes}")
-    return v
-
-
 def _raising(basis: FockBasis, g) -> sparse.coo_matrix:
     """Sum_j g_j R_j, where R_j raises mode j with matrix element
     sqrt(n_j + 1) and drops transitions above the truncation."""
     from scipy import sparse
-    v = _mode_vector(basis, g)
+    v = np.asarray(g, dtype=complex)
+    if v.shape != (basis.n_modes,):
+        raise DimensionError(f"vector must have length {basis.n_modes}")
     support = np.nonzero(v)[0]
     values = (v[support, None] * basis.raise_amp[support]).ravel()
-    entries = (basis.raise_dst[support].ravel(), np.tile(basis.raise_src, len(support)))
+    sources = np.arange(basis.raise_dst.shape[1])
+    entries = (basis.raise_dst[support].ravel(), np.tile(sources, len(support)))
     return sparse.coo_matrix((values, entries), shape=(basis.size, basis.size))
 
 
@@ -202,7 +188,7 @@ def _ladder_apply(basis: FockBasis, g, f, c, vec: np.ndarray) -> np.ndarray:
     BLAS product: OpenBLAS threads even this small product, which runs
     slower when the other cores are busy.
     """
-    n = min(vec.size - int(np.argmax(vec[::-1] != 0)), basis.raise_src.size)
+    n = min(vec.size - int(np.argmax(vec[::-1] != 0)), basis.raise_dst.shape[1])
     dst, amp = basis.raise_dst[:, :n], basis.raise_amp[:, :n]
     out = c * vec
     for j in np.nonzero(g)[0]:

@@ -14,7 +14,7 @@ reduction order, so results are reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 import numpy as np
@@ -40,14 +40,9 @@ class MomentReport:
     n_samples: int | None = None
 
     def to_dict(self) -> dict:
-        val = self.value
-        if isinstance(val, complex):
-            val = [val.real, val.imag]
-        out = {"label": self.label, "value": val}
-        if self.std_error is not None:
-            out["std_error"] = self.std_error
-        if self.n_samples is not None:
-            out["n_samples"] = self.n_samples
+        out = {k: v for k, v in asdict(self).items() if v is not None}
+        if isinstance(self.value, complex):
+            out["value"] = [self.value.real, self.value.imag]
         return out
 
 
@@ -71,6 +66,11 @@ def _batch_stats(values: np.ndarray) -> tuple[float, float]:
     means = np.concatenate([values[:cut].reshape(r, q + 1).mean(axis=1),
                             values[cut:].reshape(nb - r, q).mean(axis=1)])
     return float(values.mean()), float(means.std(ddof=1) / np.sqrt(nb))
+
+
+def _mc_report(label: str, values: np.ndarray) -> MomentReport:
+    """A Monte Carlo estimate: the mean of `values`, one per sample, and its batch error."""
+    return MomentReport(label, *_batch_stats(values), values.size)
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +133,11 @@ def box_counts(patterns: np.ndarray, box) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _moment_points(points, n_cells: int) -> np.ndarray:
+def _moment_points(points, n_cells: int) -> tuple[np.ndarray, str]:
     pts = cell_indices(points, n_cells)
     if pts.size < 1 or pts.size > 4:
         raise PreconditionError("between 1 and 4 points (estimator variance grows fast)")
-    return pts
+    return pts, "E prod |G|^2 at " + ",".join(map(str, pts.tolist()))
 
 
 def _moment_values(draws: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -145,32 +145,26 @@ def _moment_values(draws: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.prod(np.abs(draws[:, pts]) ** 2, axis=1)
 
 
-def _moment_report(pts: np.ndarray, values: np.ndarray) -> MomentReport:
-    value, se = _batch_stats(values)
-    label = "E prod |G|^2 at " + ",".join(map(str, pts.tolist()))
-    return MomentReport(label, value, se, values.size)
-
-
 def field_moment_from_draws(draws, points) -> MomentReport:
     """Mean of prod_i |G(x_{m_i})|^2 over the rows of `draws`, a
     (n_samples, M) array of field samples such as ``sample_field`` returns,
     with the same batch standard error as ``field_moment_mc``."""
     draws = np.atleast_2d(draws)
-    pts = _moment_points(points, draws.shape[1])
-    return _moment_report(pts, _moment_values(draws, pts))
+    pts, label = _moment_points(points, draws.shape[1])
+    return _mc_report(label, _moment_values(draws, pts))
 
 
 def field_moment_mc(model: GaussianFieldModel, points, n_samples: int, seed) -> MomentReport:
     """Monte Carlo mean of prod_i |G(x_{m_i})|^2 over the given points,
     drawn in chunks of FIELD_CHUNK samples: ``field_moment_from_draws`` of
     one ``sample_field(model, seed, size=n_samples)`` draw, bit for bit."""
-    pts = _moment_points(points, model.grid.n_cells)
+    pts, label = _moment_points(points, model.grid.n_cells)
     rng = np.random.default_rng(seed)
     values = np.empty(n_samples)
     for start in range(0, n_samples, FIELD_CHUNK):
         chunk = values[start:start + FIELD_CHUNK]
         chunk[:] = _moment_values(sample_field(model, rng, size=chunk.size), pts)
-    return _moment_report(pts, values)
+    return _mc_report(label, values)
 
 
 def quadrature_haf_moment(model: GaussianFieldModel, boxes, *,
@@ -206,31 +200,31 @@ def quadrature_haf_moment(model: GaussianFieldModel, boxes, *,
     return MomentReport(label, float(total.real), None, None)
 
 
+def _patterns(patterns) -> np.ndarray:
+    pats = np.atleast_2d(np.asarray(patterns))
+    if pats.shape[0] == 0:
+        raise PreconditionError("need at least one pattern")
+    return pats
+
+
 def empirical_product_moment(patterns, boxes) -> MomentReport:
     """Sample mean and standard error of prod_i gamma(D_i) over patterns."""
-    pats = np.atleast_2d(np.asarray(patterns))
-    if pats.size == 0 or pats.shape[0] == 0:
-        raise PreconditionError("need at least one pattern")
+    pats = _patterns(patterns)
     cells = [cell_set(box, pats.shape[1]).tolist() for box in boxes]
     check_disjoint(cells)
     values = np.ones(pats.shape[0], dtype=float)
     for box in cells:
         values *= box_counts(pats, box)
-    mean, se = _batch_stats(values)
-    label = "empirical prod gamma over " + "x".join(map(str, cells))
-    return MomentReport(label, mean, se, pats.shape[0])
+    return _mc_report("empirical prod gamma over " + "x".join(map(str, cells)), values)
 
 
 def empirical_factorial_moment(patterns, box, n: int) -> MomentReport:
     """Sample mean of the falling factorial gamma(D)(gamma(D)-1)...(gamma(D)-n+1)."""
     if n < 1:
         raise PreconditionError("order must be >= 1")
-    pats = np.atleast_2d(np.asarray(patterns))
-    if pats.shape[0] == 0:
-        raise PreconditionError("need at least one pattern")
-    t = box_counts(pats, box).astype(float)
-    values = np.ones_like(t)
-    for k in range(n):
+    t = box_counts(_patterns(patterns), box).astype(float)
+    values, k = np.ones_like(t), 0
+    while k < n and values.any():   # a row is 0 from k = its count on: stop once all are
         values *= t - k
-    mean, se = _batch_stats(values)
-    return MomentReport(f"empirical falling factorial order {n}", mean, se, pats.shape[0])
+        k += 1
+    return _mc_report(f"empirical falling factorial order {n}", values)

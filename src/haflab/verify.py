@@ -299,6 +299,11 @@ def run_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     """Run every identity check at the scale `cfg` sets: `orders` (else
     `max_order`) bounds the moment order, and the models are `models`,
     else `model`, else DEFAULT_MODELS, on `cfg.grid()`."""
+    if cfg.boxes is not None:
+        raise ConfigError("verify chooses its own boxes; remove 'boxes' from the config")
+    if cfg.profile is not None:
+        raise ConfigError("verify draws its own Poisson intensities; "
+                          "remove 'profile' from the config")
     max_order = max(cfg.orders) if cfg.orders else cfg.max_order
     if cfg.cells < max_order:   # the order-n theta check takes one cell per box
         raise ConfigError(f"verify needs at least {max_order} cells for moment order "

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from itertools import product
 
 import numpy as np
@@ -411,6 +412,20 @@ def test_factorial_moment_poisson_closed_form():
     assert abs(rep.value - mass ** 2) < 4 * rep.std_error
     rep1 = sp.empirical_factorial_moment(pats, box, 1)
     assert rep1.value == pytest.approx(sp.box_counts(pats, box).mean())
+
+
+def test_factorial_moment_past_every_count_is_zero_at_once():
+    pats = np.array([[0, 2, 1], [3, 0, 1], [1, 0, 0]])   # box counts 3, 4, 1
+    rep = sp.empirical_factorial_moment(pats, [0, 1, 2], 10 ** 12)
+    assert rep.value == 0.0 and rep.std_error == 0.0 and rep.n_samples == 3
+    assert rep.label == "empirical falling factorial order 1000000000000"
+    values = {n: sp.empirical_factorial_moment(pats, [0, 1, 2], n).value for n in range(1, 7)}
+    assert values == {1: 8 / 3, 2: (6 + 12) / 3, 3: (6 + 24) / 3, 4: 24 / 3, 5: 0.0, 6: 0.0}
+
+
+def test_factorial_moment_of_zero_counts_is_positive_zero():
+    rep = sp.empirical_factorial_moment(np.zeros((40, 5), dtype=int), [0, 1], 2)
+    assert rep.value == 0.0 and math.copysign(1.0, rep.value) == 1.0
 
 
 def test_factorial_moment_cox_vs_full_square_quadrature():

@@ -15,7 +15,7 @@ from haflab import kernels as kn
 from haflab import matfun as mf
 from haflab import sampling as sp
 from haflab import verify as vf
-from haflab.errors import CapacityError, ModelError
+from haflab.errors import CapacityError, ConfigError, ModelError
 
 EPS = 1e-6
 
@@ -295,3 +295,16 @@ def test_an_unsampled_poisson_rate_fails_only_the_lines_that_draw_counts():
     for r in drawing:
         assert not r.passed
         assert r.error.startswith("capacity: largest Poisson rate ")
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"boxes": [[0, 1, 2]]}, "verify chooses its own boxes; remove 'boxes' from the config"),
+    ({"boxes": [[1], [2]]}, "verify chooses its own boxes; remove 'boxes' from the config"),
+    ({"profile": {"lambda": [[1.0, 0.0]] * 3}},
+     "verify draws its own Poisson intensities; remove 'profile' from the config"),
+])
+def test_run_battery_refuses_the_fields_it_would_ignore(fields, message):
+    # in process, with no CLI in front: a field the battery does not read is an error
+    with pytest.raises(ConfigError) as info:
+        vf.run_battery(cli.ExperimentConfig(**fields))
+    assert str(info.value) == message
