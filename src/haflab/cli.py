@@ -23,7 +23,7 @@ from . import kernels as kn
 from . import matfun as mf
 from . import sampling as sp
 from .errors import ConfigError, HaflabError
-from .kernels import _finite_pair, _instance, _number, _whole
+from .kernels import _finite_pair, _float, _instance, _known, _number, _whole
 from .verify import run_battery
 
 
@@ -59,10 +59,10 @@ class ExperimentConfig:
     model: dict | None = _typed(None, "an object", _instance(dict))
     models: list | None = _typed(None, "a list of objects", _list_of(_instance(dict)))
     profile: dict | None = _typed(None, "an object", _instance(dict))
-    out: str | None = _typed(None, "a string", _instance(str))
 
     @classmethod
-    def load(cls, path: str | None, overrides: dict) -> "ExperimentConfig":
+    def load(cls, path: str | None, seed: int | None = None) -> "ExperimentConfig":
+        """The config at `path` (else the defaults), its seed replaced by `seed` if given."""
         doc, typed = {}, {f.name: f for f in fields(cls)}
         if path is not None:
             try:
@@ -72,19 +72,18 @@ class ExperimentConfig:
                 raise ConfigError(f"cannot read config {path}: {exc}") from exc
             if not isinstance(doc, dict):
                 raise ConfigError(f"config {path} must be a JSON object")
-            unknown = set(doc) - set(typed)
-            if unknown:
-                raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        doc.update({k: v for k, v in overrides.items() if v is not None})
+            _known(doc, typed, "unknown config fields")
+        if seed is not None:
+            doc["seed"] = seed
         for name, value in doc.items():
             meta = typed[name].metadata
             if not (meta["test"](value) or (value is None and typed[name].default is None)):
                 raise ConfigError(f"config field '{name}' must be {meta['kind']}")
         cfg = cls(**doc)
-        lo, hi = cfg.window
+        lo, hi = map(_float, cfg.window)
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ConfigError(f"config field 'window' must have finite ends with lo < hi, "
-                              f"got {[float(lo), float(hi)]}")
+                              f"got {[lo, hi]}")
         _check_ranges(("'replicates'", cfg.replicates, 0), ("'seed'", cfg.seed, 0),
                       ("'truncation'", cfg.truncation, 0),
                       ("'mc_samples'", cfg.mc_samples, 1), ("'max_order'", cfg.max_order, 1),
@@ -92,9 +91,7 @@ class ExperimentConfig:
         return cfg
 
     def sha256(self) -> str:
-        doc = asdict(self)
-        doc.pop("out", None)   # the destination is not part of the experiment
-        blob = json.dumps(doc, sort_keys=True, default=list)
+        blob = json.dumps(asdict(self), sort_keys=True, default=list)
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def grid(self) -> kn.Grid:
@@ -106,6 +103,7 @@ class ExperimentConfig:
 
     def resolve_profile(self) -> kn.GaussianFieldModel:
         """The model with no features and a mean of one [re, im] pair per cell."""
+        _known(self.profile, ["lambda"], "unknown profile keys")
         try:
             lam = np.array([complex(*_finite_pair(p, "each profile 'lambda' entry"))
                             for p in self.profile["lambda"]])
@@ -196,10 +194,10 @@ def _csv_lines(template: str, start: int, block: np.ndarray) -> str:
     return (template * block.size).format(*table.ravel().tolist())
 
 
-def cmd_sample(args, kind: str) -> int:
-    cfg = ExperimentConfig.load(args.config, {"seed": args.seed, "out": args.out})
-    if cfg.out is None:
-        raise ConfigError("an output directory is required (--out or config 'out')")
+def cmd_sample(args, cfg: ExperimentConfig) -> int:
+    kind = args.command
+    if args.out is None:
+        raise ConfigError("an output directory is required (--out)")
     if cfg.models is not None:
         raise ConfigError(f"{kind} sample draws one model; name it in 'model' "
                           "and remove 'models' from the config")
@@ -209,19 +207,15 @@ def cmd_sample(args, kind: str) -> int:
     if cfg.profile is not None and cfg.model is not None:
         raise ConfigError("cox sample draws from 'profile' or from 'model', not both; "
                           "remove one from the config")
-    with _naming(f"config field 'window' is {list(cfg.window)}"):
-        return _write_sample(args, cfg, kind)
-
-
-def _write_sample(args, cfg: ExperimentConfig, kind: str) -> int:
     model = cfg.resolve_profile() if cfg.profile is not None else cfg.resolve_model()
     sampler = sp.sample_cox if kind == "cox" else sp.sample_field
     boxes = cfg.disjoint_boxes(model.grid.n_cells)
-    os.makedirs(cfg.out, exist_ok=True)
+    kn.check_size(cfg.replicates, model.grid.n_cells)
+    os.makedirs(args.out, exist_ok=True)
 
     name, header, template, dtype = _DUMPS[kind]
     rows = np.zeros((cfg.replicates, model.grid.n_cells), dtype=dtype)
-    with _open_new(os.path.join(cfg.out, name), args.force) as fh:
+    with _open_new(os.path.join(args.out, name), args.force) as fh:
         fh.write(header)
         for start in range(0, cfg.replicates, _CSV_CHUNK):
             stop = min(start + _CSV_CHUNK, cfg.replicates)
@@ -244,14 +238,14 @@ def _write_sample(args, cfg: ExperimentConfig, kind: str) -> int:
             else:
                 per_box.append({"cells": box, "mean": None, "std_error": None})
         extra = {"boxes": per_box}
-        with _open_new(os.path.join(cfg.out, "moments.jsonl"), args.force) as fh:
+        with _open_new(os.path.join(args.out, "moments.jsonl"), args.force) as fh:
             for rep in reports:
                 fh.write(json.dumps(rep.to_dict(), sort_keys=True) + "\n")
     else:
         mean_sq = (np.abs(rows) ** 2).mean(axis=0) if cfg.replicates else None
         extra = {"mean_abs_square": None if mean_sq is None else mean_sq.tolist(),
                  "k1_diagonal": model.k1.diagonal().real.tolist()}
-    with _open_new(os.path.join(cfg.out, "summary.json"), args.force) as fh:
+    with _open_new(os.path.join(args.out, "summary.json"), args.force) as fh:
         fh.write(_summary_payload(cfg, kind, extra))
     return 0
 
@@ -261,18 +255,15 @@ def _write_sample(args, cfg: ExperimentConfig, kind: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
-    cfg = ExperimentConfig.load(args.config, {"seed": args.seed, "out": args.out})
-    with _naming(f"config field 'window' is {list(cfg.window)}"):
-        results = run_battery(cfg)
-
+def cmd_verify(args, cfg: ExperimentConfig) -> int:
+    results = run_battery(cfg)
     lines = [json.dumps({"config_sha256": cfg.sha256(), "seed": cfg.seed},
                         sort_keys=True)]
     lines += [json.dumps(r.to_dict(), sort_keys=True) for r in results]
-    if cfg.out is not None:
-        os.makedirs(os.path.dirname(os.path.abspath(cfg.out)), exist_ok=True)
+    if args.out is not None:
+        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
         mode = "w" if args.force else "a"
-        with open(cfg.out, mode, encoding="ascii", newline="\n") as fh:
+        with open(args.out, mode, encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
     for r in results:
         detail = f"{r.kind}={r.statistic:.3e}" if r.statistic is not None else (r.error or "")
@@ -287,9 +278,9 @@ def cmd_bench(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else []
     except ValueError as exc:
         raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from exc
-    _check_ranges(("--reps", args.reps, 1), ("--seed", args.seed or 0, 0),
+    _check_ranges(("--reps", args.reps, 1), ("--seed", args.seed, 0),
                   ("each --sizes entry", min(sizes, default=0), 0))
-    rows = mf.bench_hafnian(sizes, args.reps, seed=args.seed or 0)
+    rows = mf.bench_hafnian(sizes, args.reps, seed=args.seed)
     header = "algorithm,size,repetitions,median_seconds"
     body = [f"{r.algorithm},{r.size},{r.repetitions},{r.median_seconds:.6e}"
             for r in rows]
@@ -307,9 +298,11 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="64-bit root seed")
-    parser.add_argument("--config", default=None, help="experiment config JSON")
+def _add_common(parser: argparse.ArgumentParser, config: bool = True) -> None:
+    """--seed (else the config's, or 0 without --config), --config, --out and --force."""
+    parser.add_argument("--seed", type=int, default=None if config else 0, help="64-bit root seed")
+    if config:
+        parser.add_argument("--config", default=None, help="experiment config JSON")
     parser.add_argument("--out", default=None, help="output file or directory")
     parser.add_argument("--force", action="store_true",
                         help="overwrite existing outputs")
@@ -337,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_ver)
 
     p_bench = sub.add_parser("bench", help="time both hafnian algorithms")
-    _add_common(p_bench)
+    _add_common(p_bench, config=False)
     p_bench.add_argument("--sizes", default="8,12",
                          help="comma-separated even dimensions")
     p_bench.add_argument("--reps", type=int, default=3)
@@ -353,13 +346,11 @@ def main(argv=None) -> int:
             if args.command == "matfun":
                 with _naming(f"matrix file {args.file}"):
                     return cmd_matfun(args)
-            if args.command in ("field", "cox"):
-                return cmd_sample(args, args.command)
-            if args.command == "verify":
-                return cmd_verify(args)
             if args.command == "bench":
                 return cmd_bench(args)
-            raise ConfigError(f"unknown command {args.command}")
+            cfg = ExperimentConfig.load(args.config, args.seed)
+            with _naming(f"config field 'window' is {list(cfg.window)}"):
+                return (cmd_verify if args.command == "verify" else cmd_sample)(args, cfg)
     except (HaflabError, OSError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

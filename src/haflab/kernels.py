@@ -13,11 +13,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ModelError, PreconditionError
+from .errors import CapacityError, ConfigError, DimensionError, ModelError, PreconditionError
 
 
 def _instance(*types):
@@ -62,6 +63,7 @@ class Grid:
         """Equal-length cells over the window [lo, hi]."""
         if cells < 1:   # np.linspace would raise a bare ValueError on a negative count
             raise DimensionError("need at least one cell")
+        check_size(cells + 1)
         return cls(np.linspace(lo, hi, cells + 1))
 
 
@@ -182,19 +184,13 @@ def validate_features(l1, l2) -> list[FeatureViolation]:
                float(np.max(np.sum(np.abs(b) ** 2, axis=0), initial=0.0)))
     tol = 1e-10 * (1.0 + peak)
     cross = a.T @ b                 # bilinear, no conjugation
-    gram1 = a.T @ a.conj()
-    gram2 = b.T @ b.conj()
-    out: list[FeatureViolation] = []
-    m_cells = a.shape[1]
-    for m in range(m_cells):
-        for m2 in range(m, m_cells):
-            r_sym = abs(cross[m, m2] - cross[m2, m])
-            if r_sym > tol:
-                out.append(FeatureViolation("pseudo-symmetry", m, m2, r_sym))
-            r_gram = abs(gram1[m, m2] - gram2[m, m2])
-            if r_gram > tol:
-                out.append(FeatureViolation("gram-match", m, m2, r_gram))
-    return out
+    # (m, m2, condition) residuals by np.hypot, as abs of one complex scalar is
+    # (np.abs over an array can differ in the last bit)
+    d = np.stack([cross - cross.T, a.T @ a.conj() - b.T @ b.conj()], axis=-1)
+    resid = np.hypot(d.real, d.imag)
+    bad = (resid > tol) & np.triu(np.ones(cross.shape, dtype=bool))[..., None]
+    return [FeatureViolation(("pseudo-symmetry", "gram-match")[k], m, m2, resid[m, m2, k])
+            for m, m2, k in np.argwhere(bad).tolist()]
 
 
 def field_model(grid: Grid, l1, l2) -> GaussianFieldModel:
@@ -249,6 +245,14 @@ def cell_set(cells, n_cells: int) -> np.ndarray:
     """`cell_indices` as a set: sorted, each cell once."""
     # Not np.unique: on numpy 2.4 its first call raises peak memory by 1.7 MB.
     return np.array(sorted(set(cell_indices(cells, n_cells).tolist())), dtype=np.intp)
+
+
+def check_size(*shape: int) -> None:
+    """Raise `CapacityError` if complex values of `shape` take more bytes than
+    numpy's index type (Py_ssize_t) holds: there numpy raises a bare
+    ValueError, not a MemoryError."""
+    if math.prod(shape) * 16 > sys.maxsize:
+        raise CapacityError(f"an array of shape {shape} is past numpy's size limit")
 
 
 def check_disjoint(cell_sets) -> None:
@@ -327,21 +331,21 @@ def builtin_model(name: str, grid: Grid, params: dict | None = None) -> Gaussian
         raise ConfigError(f"parameters for {name!r} must be an object")
     if name not in _BUILTINS:
         raise ConfigError(f"unknown builtin model {name!r}")
-    params = dict(params or {})
+    params = params or {}
     x = grid.centers
     span = grid.hi - grid.lo
     key, default, fraction = _BUILTINS[name]
+    _known(params, [key, "lengthscale", "scale"], f"unknown parameters for {name!r}")
     count = _param(params, key, default, whole=True)
     if count < 1:
         raise ConfigError(f"model parameter {key!r} must be at least 1, got {count}")
+    check_size(count, grid.n_cells)
     ell = _param(params, "lengthscale", fraction * span)
     if not (np.isfinite(ell) and ell > 0):
         raise ConfigError(f"model parameter 'lengthscale' must be finite and positive, got {ell}")
     scale = _param(params, "scale", 1.0)
     if not np.isfinite(scale):
         raise ConfigError(f"model parameter 'scale' must be finite, got {scale}")
-    if params:
-        raise ConfigError(f"unknown parameters for {name!r}: {sorted(params)}")
 
     if name == "proper-fourier":
         base = _se_fourier_features(x, count, ell, scale)
@@ -362,25 +366,34 @@ def builtin_model(name: str, grid: Grid, params: dict | None = None) -> Gaussian
 def model_entry(entry: dict, grid: Grid) -> tuple[str, GaussianFieldModel]:
     """Resolve a config model entry, ``{"path": ...}`` or ``{"builtin":
     name, "params": {...}}`` on `grid`, to its name and model."""
-    if "path" in entry:
-        model = load_model(entry["path"])
-        if not np.array_equal(model.grid.edges, grid.edges):
-            raise ConfigError(f"{entry['path']}: model grid {_describe(model.grid)} "
-                              f"differs from the config grid {_describe(grid)}")
-        return entry["path"], model
+    if "path" not in entry and "builtin" not in entry:
+        raise ConfigError("model entry needs a 'builtin' name or a 'path'")
+    keys = ["path"] if "path" in entry else ["builtin", "params"]
+    _known(entry, keys, f"keys a {keys[0]!r} model entry does not read")
     if "builtin" in entry:
         return entry["builtin"], builtin_model(entry["builtin"], grid, entry.get("params"))
-    raise ConfigError("model entry needs a 'builtin' name or a 'path'")
+    model = load_model(entry["path"])
+    if not np.array_equal(model.grid.edges, grid.edges):
+        raise ConfigError(f"{entry['path']}: model grid {_describe(model.grid)} "
+                          f"differs from the config grid {_describe(grid)}")
+    return entry["path"], model
 
 
 def _describe(grid: Grid) -> str:
     return f"[{grid.lo!r}, {grid.hi!r}] in {grid.n_cells} cells"
 
 
+def _known(doc: dict, keys, what: str) -> None:
+    """Raise a ConfigError naming, after `what`, the keys of `doc` not in `keys`."""
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise ConfigError(f"{what}: {sorted(unknown)}")
+
+
 def _param(params: dict, key: str, default, whole: bool = False):
-    """Pop a model parameter: an int if `whole`, else a float (a Python int
+    """Read a model parameter: an int if `whole`, else a float (a Python int
     past the float range reads as infinite, as 1e400 does in JSON)."""
-    value = params.pop(key, default)
+    value = params.get(key, default)
     if not _number(value):
         raise ConfigError(f"model parameter {key!r} must be a number, got {value!r}")
     if whole and not _whole(value):

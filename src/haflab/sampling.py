@@ -20,7 +20,8 @@ from itertools import product
 import numpy as np
 
 from .errors import CapacityError, PreconditionError
-from .kernels import GaussianFieldModel, block_kernel, cell_indices, cell_set, check_disjoint
+from .kernels import (GaussianFieldModel, block_kernel, cell_indices, cell_set,
+                      check_disjoint, check_size)
 from .matfun import hafnian_dp
 
 
@@ -90,6 +91,7 @@ def sample_field(model: GaussianFieldModel, seed, size: int | None = None) -> np
     rng = np.random.default_rng(seed)
     m = model.grid.n_cells
     n = 1 if size is None else int(size)
+    check_size(n, m)
     if model.feature_dim == 0:
         g = np.tile(model.mean, (n, 1))
     else:
@@ -201,9 +203,14 @@ def quadrature_haf_moment(model: GaussianFieldModel, boxes, *,
 
 
 def _patterns(patterns) -> np.ndarray:
+    """Count patterns, one per row: at least one row, every entry a whole number >= 0."""
     pats = np.atleast_2d(np.asarray(patterns))
     if pats.shape[0] == 0:
         raise PreconditionError("need at least one pattern")
+    whole = pats.dtype.kind in "iu" or (
+        pats.dtype.kind == "f" and np.all(np.isfinite(pats) & (pats == np.floor(pats))))
+    if not (whole and np.all(pats >= 0)):
+        raise PreconditionError("pattern entries must be counts: whole numbers >= 0")
     return pats
 
 

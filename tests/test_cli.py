@@ -448,6 +448,72 @@ def test_verify_unknown_config_key(tmp_path, capsys):
     assert code == 2
 
 
+BIG = 10 ** 30   # past the range numpy can index
+
+
+@pytest.mark.parametrize("command", [["verify"], ["cox", "sample"]])
+@pytest.mark.parametrize("doc, message", [
+    # --out is the one destination
+    ({"out": "report.jsonl"}, "unknown config fields: ['out']"),
+    # a JSON integer past the float range reads as infinite
+    ({"window": [0, 10 ** 400]},
+     "config field 'window' must have finite ends with lo < hi, got [0.0, inf]"),
+    ({"window": [-10 ** 400, 0]},
+     "config field 'window' must have finite ends with lo < hi, got [-inf, 0.0]"),
+    ({"cells": BIG}, f"an array of shape ({BIG + 1},) is past numpy's size limit"),
+    ({"model": {"builtin": "proper-fourier", "params": {"n_freq": BIG}}},
+     f"an array of shape ({BIG}, 3) is past numpy's size limit"),
+    ({"model": {"builtin": "real-gauss", "params": {"n_centers": BIG}}},
+     f"an array of shape ({BIG}, 3) is past numpy's size limit"),
+    ({"model": {"builtin": "proper-fourier", "parms": {"n_freq": 1}}},
+     "keys a 'builtin' model entry does not read: ['parms']"),
+    ({"model": {"builtin": "real-gauss", "path": "model.json"}},
+     "keys a 'path' model entry does not read: ['builtin']"),
+    ({"model": {"builtin": "real-gauss", "params": {"n_centers": 1, "width": 2}}},
+     "unknown parameters for 'real-gauss': ['width']"),
+], ids=["out", "int-window-hi", "int-window-lo", "cells", "n_freq", "n_centers", "parms",
+        "builtin-and-path", "unknown-param"])
+def test_config_input_refused_with_one_line(tmp_path, capsys, command, doc, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out_dir = tmp_path / "run"
+    code, out = run(*command, "--config", str(cfg), "--out", str(out_dir), capsys=capsys)
+    assert code == 2 and out.out == ""
+    assert out.err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_cox_sample_refuses_unknown_profile_keys_and_unindexable_replicates(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for doc, message in [
+            ({"profile": {"lambda": [[1.0, 0.0]] * 3, "scale": 2}},
+             "unknown profile keys: ['scale']"),
+            ({"replicates": BIG}, f"an array of shape ({BIG}, 3) is past numpy's size limit")]:
+        cfg.write_text(json.dumps(doc))
+        code, out = run("cox", "sample", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                        capsys=capsys)
+        assert code == 2 and out.err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("doc, drawing, n_lines", [
+    # each model's Cox draw and the Poisson draw
+    ({"replicates": BIG}, ("sampling/cox-product-moment[", "poisson/mean-count-mc"), 4),
+    # each model's field draw, read by its covariance line and both moment orders
+    ({"mc_samples": BIG}, ("sampling/field-covariance-mc[", "sampling/moment-vs-hafnian["), 9),
+])
+def test_verify_unindexable_draw_fails_only_the_lines_that_read_it(tmp_path, capsys, doc,
+                                                                   drawing, n_lines):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, out = run("verify", "--config", str(cfg), capsys=capsys)
+    assert code == 1 and out.err == ""
+    failed = [line for line in out.out.splitlines() if line.startswith("FAIL ")]
+    assert len(failed) == n_lines
+    assert all(line.split()[1].startswith(drawing) for line in failed)
+    assert all(" capacity: an array of shape " in line for line in failed)
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"cells": "abc"}, "'cells' must be an integer"),
     ({"window": [0.0]}, "'window' must be a [lo, hi] pair"),
@@ -621,6 +687,14 @@ def test_bench_bad_input_exit_2(capsys, flags, message):
     assert code == 2
     assert out.out == ""
     assert out.err == f"error: {message}\n"
+
+
+def test_bench_takes_no_config(capsys):
+    # bench reads no config, so --config is an unknown flag, not ignored
+    with pytest.raises(SystemExit) as exc:
+        run("bench", "--config", "/nonexistent.json", "--sizes", "4", "--reps", "1")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_bench_command(tmp_path, capsys):

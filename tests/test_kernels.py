@@ -101,6 +101,42 @@ def test_norm_mismatch_is_reported():
     assert bad[0].residual == pytest.approx(3.0)
 
 
+def validate_features_reference(l1, l2):
+    """The loop form of ``validate_features``: each pair of cells m <= m2 in
+    row order, the pseudo-symmetry residual before the gram-match one."""
+    a, b = np.asarray(l1, dtype=complex), np.asarray(l2, dtype=complex)
+    peak = max(float(np.max(np.sum(np.abs(a) ** 2, axis=0), initial=0.0)),
+               float(np.max(np.sum(np.abs(b) ** 2, axis=0), initial=0.0)))
+    tol = 1e-10 * (1.0 + peak)
+    cross, gram1, gram2 = a.T @ b, a.T @ a.conj(), b.T @ b.conj()
+    out = []
+    for m in range(a.shape[1]):
+        for m2 in range(m, a.shape[1]):
+            for kind, r in (("pseudo-symmetry", abs(cross[m, m2] - cross[m2, m])),
+                            ("gram-match", abs(gram1[m, m2] - gram2[m, m2]))):
+                if r > tol:
+                    out.append((kind, m, m2, r))
+    return out
+
+
+def test_validate_features_matches_the_double_loop_bitwise():
+    rng = np.random.default_rng(11)
+    seen = 0
+    for i in range(60):
+        d, m = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+        a = rand_features(d, m, 100 + i)
+        # a third of the pairs valid up to one tiny perturbation, the rest random
+        b = a.copy() if i % 3 == 0 else rand_features(d, m, 200 + i)
+        if i % 3 == 0:
+            b[rng.integers(d), rng.integers(m)] += 1e-9 * rng.standard_normal()
+        got = [(v.kind, v.m, v.m2, v.residual) for v in kn.validate_features(a, b)]
+        want = validate_features_reference(a, b)
+        assert [g[:3] for g in got] == [w[:3] for w in want]
+        assert [g[3].hex() for g in got] == [float(w[3]).hex() for w in want]
+        seen += len(want)
+    assert seen > 100
+
+
 def test_shape_mismatch_raises():
     with pytest.raises(DimensionError):
         kn.validate_features(np.ones((2, 3)), np.ones((3, 2)))

@@ -386,6 +386,22 @@ def test_empirical_product_moment_cases():
         sp.empirical_product_moment(empty, [[0, 1], [1]])
 
 
+@pytest.mark.parametrize("entry", [-1, -0.5, 0.5, float("nan"), float("inf"), True, 1j])
+def test_count_estimators_refuse_entries_that_are_not_counts(entry):
+    pats = np.array([[2, 0, 1], [1, 1, 0]], dtype=np.asarray(entry).dtype)
+    pats[1, 2] = entry
+    with pytest.raises(PreconditionError, match="must be counts"):
+        sp.empirical_product_moment(pats, [[2]])
+    with pytest.raises(PreconditionError, match="must be counts"):
+        sp.empirical_factorial_moment(pats, [2], 3)
+
+
+def test_count_estimators_take_whole_float_counts():
+    ints = np.array([[2, 0, 1], [1, 3, 0]])
+    assert (sp.empirical_factorial_moment(ints.astype(float), [0, 1], 2)
+            == sp.empirical_factorial_moment(ints, [0, 1], 2))
+
+
 def test_empirical_poisson_window_mean():
     profile = kn.intensity_profile(GRID, np.ones(5))
     pats = sp.sample_cox(profile, 17, size=50_000)
