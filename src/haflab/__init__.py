@@ -26,7 +26,6 @@ from .kernels import (
 from .matfun import alpha_det, bench_hafnian, determinant, hafnian_dp, hafnian_enum, permanent
 from .sampling import (
     MomentReport,
-    augmented_covariance,
     empirical_factorial_moment,
     empirical_product_moment,
     field_moment_mc,
@@ -46,7 +45,7 @@ __all__ = [
     "intensity_integral", "intensity_profile", "load_model", "save_model", "validate_features",
     "alpha_det", "bench_hafnian", "determinant", "hafnian_dp",
     "hafnian_enum", "permanent",
-    "MomentReport", "augmented_covariance", "empirical_factorial_moment",
+    "MomentReport", "empirical_factorial_moment",
     "empirical_product_moment", "field_moment_mc", "quadrature_haf_moment",
     "replicate_rng", "sample_cox", "sample_field",
     "__version__",

@@ -201,6 +201,10 @@ def cmd_sample(args, cfg: ExperimentConfig) -> int:
     if cfg.models is not None:
         raise ConfigError(f"{kind} sample draws one model; name it in 'model' "
                           "and remove 'models' from the config")
+    unread = [f.name for f in fields(cfg) if f.name in ("truncation", "mc_samples", "max_order")
+              and getattr(cfg, f.name) != f.default]
+    if unread:
+        raise ConfigError(f"{kind} sample does not read {unread}; remove them from the config")
     # a profile is a model with no features, whose Cox counts are plain Poisson
     if kind == "field" and cfg.profile is not None:
         raise ConfigError("field sample draws a Gaussian field; remove 'profile' from the config")

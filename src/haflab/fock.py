@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CapacityError, DimensionError, PreconditionError
-from .kernels import GaussianFieldModel, cell_indices, cell_set
+from .kernels import GaussianFieldModel, cell_indices, cell_set, check_size
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -48,6 +48,7 @@ class FockBasis:
         self.n_feature = n_feature
         self.truncation = truncation
         self.n_modes = n = n_grid + n_feature
+        check_size(math.comb(n + truncation, n), n)   # the basis, before any sector is built
         # Sector k + 1 is every sector-k row plus e_j, lexsorted and
         # deduplicated; the position a raised row lands at is its source's
         # +1_j neighbour, so the raising tables come with the basis: per mode
@@ -118,15 +119,8 @@ class FockOperator:
     def adjoint(self) -> "FockOperator":
         return FockOperator(self.basis, self.mat.conj().T.tocsr())
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.mat @ vec
-
     def max_abs(self) -> float:
         return float(np.abs(self.mat.data).max(initial=0.0))
-
-    def on_domain(self, margin: int) -> sparse.csr_matrix:
-        """Columns restricted to safe source states (total <= N - margin)."""
-        return self.mat[:, self.basis.safe_indices(margin)]
 
 
 def identity(basis: FockBasis) -> FockOperator:

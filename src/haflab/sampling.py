@@ -79,12 +79,6 @@ def _mc_report(label: str, values: np.ndarray) -> MomentReport:
 # ---------------------------------------------------------------------------
 
 
-def augmented_covariance(model: GaussianFieldModel) -> np.ndarray:
-    """Real covariance of (Re G(x_1..x_M), Im G(x_1..x_M)): a copy of
-    the model's `augmented` matrix."""
-    return model.augmented[0].copy()
-
-
 def sample_field(model: GaussianFieldModel, seed, size: int | None = None) -> np.ndarray:
     """Draw the complex field on the grid; shape (M,) or (size, M).  With no
     features it is a fresh copy of the mean, and no normals are drawn."""

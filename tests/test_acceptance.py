@@ -123,7 +123,7 @@ def test_criterion_07_commutation_and_hermiticity():
             b1 = list(rng.choice(4, size=size1, replace=False))
             b2 = list(rng.choice(4, size=size2, replace=False))
             r1, r2 = fk.rho(basis, model, b1), fk.rho(basis, model, b2)
-            comm, herm = vf.rho_commutation_defect(r1, r2), vf.rho_hermiticity_defect(r1)
+            comm, herm = vf.rho_commutation_defect(r1, r2), fk.hermiticity_defect(r1, 2)
             worst_comm, worst_herm = max(worst_comm, comm), max(worst_herm, herm)
     gate(7, worst_comm <= 1e-10 and worst_herm <= 1e-13,
          f"30 box pairs, commutator {worst_comm:.2e}, hermiticity {worst_herm:.2e}")

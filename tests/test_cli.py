@@ -32,6 +32,12 @@ def test_matfun_haf(swap_matrix, capsys):
     assert out.out.strip() == "1 0"
 
 
+def test_matfun_perm(swap_matrix, capsys):
+    code, out = run("matfun", "perm", swap_matrix, capsys=capsys)
+    assert code == 0
+    assert out.out.strip() == "1 0"
+
+
 def test_matfun_algorithms_agree(swap_matrix, capsys, tmp_path):
     rng = np.random.default_rng(1)
     from haflab.matfun import random_symmetric
@@ -96,6 +102,12 @@ def test_cox_sample_empty_replicates(tmp_path, capsys):
                   "--out", str(tmp_path / "run"), capsys=capsys)
     assert code == 0
     assert (tmp_path / "run" / "patterns.csv").read_text() == "replicate,cell_index,count\n"
+
+
+def test_sample_needs_an_output_directory(capsys):
+    code, out = run("cox", "sample", capsys=capsys)
+    assert code == 2 and out.out == ""
+    assert out.err == "error: an output directory is required (--out)\n"
 
 
 def test_cox_sample_byte_identical(tmp_path, capsys):
@@ -441,6 +453,20 @@ def test_cox_sample_malformed_profile_pair_exit_2(tmp_path, capsys, pair):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", [["verify"], ["cox", "sample"], ["field", "sample"]])
+@pytest.mark.parametrize("text", [None, "{", "{\"cells\": 2,}"], ids=["missing", "open", "comma"])
+def test_unreadable_config_exit_2(tmp_path, capsys, command, text):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    out_dir = tmp_path / "run"
+    code, out = run(*command, "--config", str(cfg), "--out", str(out_dir), capsys=capsys)
+    assert code == 2 and out.out == ""
+    assert out.err.startswith(f"error: cannot read config {cfg}: ")
+    assert len(out.err.splitlines()) == 1
+    assert not out_dir.exists()
+
+
 def test_verify_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
@@ -646,6 +672,8 @@ def test_verify_negative_seed_flag_exit_2(capsys):
      "cox sample draws one model; name it in 'model' and remove 'models' from the config"),
     ({"model": {"builtin": "real-gauss", "params": {"n_centers": 1.9}}}, [],
      "model parameter 'n_centers' must be an integer, got 1.9"),
+    ({"profile": {}}, [], "profile needs a 'lambda' list of [re, im] pairs"),
+    ({"cells": 0}, [], "need at least one cell"),
 ])
 def test_cox_sample_out_of_range_config_writes_nothing(tmp_path, capsys, doc,
                                                       flags, message):
@@ -673,6 +701,31 @@ def test_field_sample_refuses_another_process_exit_2(tmp_path, capsys, doc, mess
                     capsys=capsys)
     assert code == 2
     assert out.err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["cox", "field"])
+@pytest.mark.parametrize("doc, unread", [
+    ({"truncation": 0}, ["truncation"]),
+    ({"mc_samples": 5}, ["mc_samples"]),
+    ({"max_order": 7}, ["max_order"]),
+    ({"truncation": 0, "max_order": 7, "mc_samples": 5},
+     ["truncation", "mc_samples", "max_order"]),
+])
+def test_sample_refuses_the_fields_it_does_not_read(tmp_path, capsys, command, doc, unread):
+    # a field at its default changes nothing, so it passes
+    cfg = tmp_path / "cfg.json"
+    defaults = {"truncation": 6, "mc_samples": 40_000, "max_order": 2}
+    cfg.write_text(json.dumps(dict({"replicates": 3, "cells": 2}, **defaults)))
+    assert run(command, "sample", "--config", str(cfg), "--out", str(tmp_path / "ok"),
+               capsys=capsys)[0] == 0
+    cfg.write_text(json.dumps(dict({"replicates": 3, "cells": 2}, **doc)))
+    out_dir = tmp_path / "run"
+    code, out = run(command, "sample", "--config", str(cfg), "--out", str(out_dir),
+                    capsys=capsys)
+    assert code == 2 and out.out == ""
+    assert out.err == (f"error: {command} sample does not read {unread}; "
+                       "remove them from the config\n")
     assert not out_dir.exists()
 
 

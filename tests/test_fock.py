@@ -50,7 +50,7 @@ def commutator(a, b):
 
 
 def max_abs_on_domain(op, margin):
-    return float(np.abs(op.on_domain(margin).data).max(initial=0.0))
+    return float(np.abs(op.mat[:, op.basis.safe_indices(margin)].data).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +112,32 @@ def test_empty_hermiticity_block_is_a_capacity_error():
     assert fk.hermiticity_defect(op, 1) == 0.0
 
 
+@pytest.mark.parametrize("dims, error, message", [
+    ((0, 0, 3), DimensionError, "need at least one mode"),
+    ((-1, 2, 3), DimensionError, "need at least one mode"),
+    ((3, 2, -1), DimensionError, "truncation must be nonnegative"),
+    # comb(5 + 10**30, 5) states: refused by the size rule before any sector is built
+    ((3, 2, 10 ** 30), CapacityError, "past numpy's size limit"),
+])
+def test_basis_refuses_bad_shapes(dims, error, message):
+    with pytest.raises(error, match=message):
+        fk.FockBasis(*dims)
+
+
+def test_operators_on_two_bases_do_not_combine(plain_basis):
+    a, b = fk.identity(plain_basis), fk.identity(fk.FockBasis(2, 1, 5))
+    for combine in (a.__add__, a.__sub__, a.__matmul__):
+        with pytest.raises(DimensionError, match="operators live on different bases"):
+            combine(b)
+
+
+def test_operators_refuse_a_source_of_another_shape():
+    basis = fk.FockBasis(2, 2, 2)
+    with pytest.raises(DimensionError, match=r"basis has \(2 grid, 2 feature\) modes; "
+                                             r"source needs \(3, 2\)"):
+        fk.rho(basis, MODELS["proper-fourier"], [0])
+
+
 # ---------------------------------------------------------------------------
 # ladder operators
 # ---------------------------------------------------------------------------
@@ -119,7 +145,7 @@ def test_empty_hermiticity_block_is_a_capacity_error():
 
 def test_create_on_vacuum(plain_basis):
     op = fk.create(plain_basis, [1.0, 0.0, 0.0])
-    out = op.apply(plain_basis.vacuum())
+    out = op.mat @ plain_basis.vacuum()
     target = _index(plain_basis)[(1, 0, 0)]
     assert out[target] == 1.0
     assert np.abs(np.delete(out, target)).max() == 0.0
@@ -130,9 +156,9 @@ def test_create_adjoint_is_annihilate_conjugate(plain_basis):
     g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     up = fk.create(plain_basis, g)
     down = fk.annihilate(plain_basis, np.conj(g))
-    defect = (up.adjoint() - down).on_domain(1)
-    # adjoint relation holds below the cutoff sector
     keep = plain_basis.safe_indices(1)
+    defect = (up.adjoint() - down).mat[:, keep]
+    # adjoint relation holds below the cutoff sector
     assert np.abs(defect[keep, :].toarray()).max() <= 1e-13
 
 
@@ -279,9 +305,9 @@ def test_gaussian_moment_bridge(bases):
         for pts in ([1], [0, 2], [0, 1, 2]):
             vec = basis.vacuum()
             for m in reversed(pts):
-                vec = fk.phi(basis, model, m).apply(vec)
+                vec = fk.phi(basis, model, m).mat @ vec
             for m in pts:
-                vec = fk.psi(basis, model, m).apply(vec)
+                vec = fk.psi(basis, model, m).mat @ vec
             expected = hafnian_dp(kn.block_kernel(model, pts))
             assert vec[0] == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
@@ -843,6 +869,13 @@ def test_bogoliubov_builds_no_operator(monkeypatch):
     monkeypatch.setattr(fk, "annihilate", no_operators)
     rep = fk.bogoliubov_check(np.zeros((3, 3)), np.eye(3))
     assert rep.passed and rep.t2_max_deviation <= 1e-12
+
+
+@pytest.mark.parametrize("k1, k2", [(np.eye(2), np.eye(3)), (np.eye(2), np.ones((2, 3))),
+                                    (np.ones(2), np.ones(2))])
+def test_bogoliubov_refuses_maps_of_different_shapes(k1, k2):
+    with pytest.raises(DimensionError, match="maps must be matrices of identical shape"):
+        fk.bogoliubov_check(k1, k2)
 
 
 def test_bogoliubov_zero_pair_fails():

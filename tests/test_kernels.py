@@ -142,6 +142,11 @@ def test_shape_mismatch_raises():
         kn.validate_features(np.ones((2, 3)), np.ones((3, 2)))
 
 
+def test_model_rejects_feature_columns_that_do_not_match_the_cells():
+    with pytest.raises(DimensionError, match="feature matrices have 2 columns for 3 cells"):
+        kn.GaussianFieldModel(kn.Grid.regular(0, 1, 3), np.ones((1, 2)), np.ones((1, 2)))
+
+
 def test_field_model_rejects_invalid_pair():
     with pytest.raises(ModelError):
         kn.field_model(kn.Grid.regular(0, 1, 1), [[1.0]], [[2.0]])

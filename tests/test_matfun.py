@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from haflab import matfun as mf
-from haflab.errors import CapacityError, DimensionError
+from haflab.errors import CapacityError, DimensionError, HaflabError
 
 
 def haf_permutation_oracle(c):
@@ -225,6 +225,7 @@ def test_hafnian_rejects_odd_and_oversize():
 def test_permanent_basics():
     assert mf.permanent(np.eye(3)) == pytest.approx(1.0)
     assert mf.permanent([[1, 1], [1, 1]]) == pytest.approx(2.0)
+    assert mf.permanent(np.zeros((0, 0))) == 1.0   # the empty product
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
@@ -331,3 +332,18 @@ def test_matrix_text_rejects_garbage(tmp_path):
     bad.write_text("nope\n")
     with pytest.raises(Exception):
         mf.read_matrix_text(bad)
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("", HaflabError, "empty matrix file"),
+    ("\n  \n", HaflabError, "empty matrix file"),
+    ("2\n1,0 2,0\n3,0\n", DimensionError, "row 1 has 1 entries, expected 2"),
+    ("1\n1;0\n", HaflabError, "bad entry '1;0' at row 0"),
+    ("1\n1,0,0\n", HaflabError, "bad entry '1,0,0' at row 0"),
+])
+def test_matrix_text_refuses_with_one_message(tmp_path, text, error, message):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(error) as info:
+        mf.read_matrix_text(path)
+    assert str(info.value) == f"{path}: {message}"

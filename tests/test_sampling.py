@@ -42,7 +42,7 @@ def test_augmented_proper_real_k1_is_block_diagonal():
     l = np.array([[1.0, 0.5, 0.2, 0.1, 0.3], [0.2, 0.8, 0.5, 0.3, 0.1]])
     zero = np.zeros_like(l)
     model = kn.field_model(GRID, np.vstack([l, zero]), np.vstack([zero, l]))
-    cov = sp.augmented_covariance(model)
+    cov = model.augmented[0]
     m = GRID.n_cells
     assert np.allclose(cov[:m, :m], model.k1.real / 2, atol=1e-14)
     assert np.allclose(cov[m:, m:], model.k1.real / 2, atol=1e-14)
@@ -51,7 +51,7 @@ def test_augmented_proper_real_k1_is_block_diagonal():
 
 def test_augmented_real_structured_field_is_purely_real():
     model = MODELS["real-gauss"]
-    cov = sp.augmented_covariance(model)
+    cov = model.augmented[0]
     m = GRID.n_cells
     assert np.allclose(cov[:m, :m], model.k1.real, atol=1e-14)
     assert np.abs(cov[m:, m:]).max() <= 1e-14
@@ -61,13 +61,13 @@ def test_augmented_real_structured_field_is_purely_real():
 def test_augmented_single_cell_unit_variance():
     grid = kn.Grid.regular(0.0, 1.0, 1)
     model = kn.field_model(grid, [[1.0], [0.0]], [[0.0], [1.0]])
-    cov = sp.augmented_covariance(model)
+    cov = model.augmented[0]
     assert np.allclose(cov, np.diag([0.5, 0.5]), atol=1e-14)
 
 
 def test_augmented_symmetric_and_psd():
     for model in MODELS.values():
-        cov = sp.augmented_covariance(model)
+        cov = model.augmented[0]
         assert np.abs(cov - cov.T).max() <= 1e-12
         assert np.linalg.eigvalsh(cov).min() >= -1e-8 * max(1, np.abs(cov).max())
 
@@ -78,7 +78,7 @@ def test_augmented_rejects_inconsistent_pair():
     broken = kn.GaussianFieldModel(grid, [[1, 1]], [[3, 3]])
     for _ in range(3):   # a failed check is not cached: every call raises
         with pytest.raises(ModelError):
-            sp.augmented_covariance(broken)
+            broken.augmented
         with pytest.raises(ModelError):
             sp.sample_field(broken, 0)
 
@@ -94,25 +94,12 @@ def test_augmented_factorized_once_per_model(monkeypatch):
     for name in kn.BUILTIN_NAMES:
         model = kn.builtin_model(name, GRID)
         for seed in range(3):
-            sp.augmented_covariance(model)
+            model.augmented
             sp.sample_field(model, seed)
             sp.sample_field(model, seed, size=4)
             sp.sample_cox(model, seed)
             sp.field_moment_mc(model, [0, 2], 50, seed)
     assert calls == [(2 * GRID.n_cells, 2 * GRID.n_cells)] * len(kn.BUILTIN_NAMES)
-
-
-def test_augmented_returns_a_copy():
-    model = kn.builtin_model("alpha-beta-demo", GRID)
-    before = sp.sample_field(model, 8, size=3)
-    cov = sp.augmented_covariance(model)
-    expected = cov.copy()
-    cov[:] = 0.0
-    assert np.array_equal(sp.augmented_covariance(model), expected)
-    assert np.array_equal(sp.sample_field(model, 8, size=3), before)
-    assert np.array_equal(sp.sample_cox(model, 8, size=3),
-                          sp.sample_cox(kn.builtin_model("alpha-beta-demo", GRID),
-                                        8, size=3))
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +381,11 @@ def test_count_estimators_refuse_entries_that_are_not_counts(entry):
         sp.empirical_product_moment(pats, [[2]])
     with pytest.raises(PreconditionError, match="must be counts"):
         sp.empirical_factorial_moment(pats, [2], 3)
+
+
+def test_factorial_moment_refuses_order_0():
+    with pytest.raises(PreconditionError, match="order must be >= 1"):
+        sp.empirical_factorial_moment(np.ones((4, 3), dtype=int), [0], 0)
 
 
 def test_count_estimators_take_whole_float_counts():

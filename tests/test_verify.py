@@ -110,17 +110,17 @@ def test_rho_defects_see_a_commutator_defect(model, basis):
     # largest entry, the largest off-vacuum entry of r2's vacuum column
     vacuum = sp_sparse.csr_matrix(([1.0 + 0j], ([0], [0])), shape=(basis.size,) * 2)
     r1 = r1 + EPS * fk.FockOperator(basis, vacuum)
-    column = np.abs(r2.apply(basis.vacuum())[1:]).max()
+    column = np.abs((r2.mat @ basis.vacuum())[1:]).max()
     assert vf.rho_commutation_defect(r1, r2) == pytest.approx(EPS * column / scale, rel=1e-4)
-    assert vf.rho_hermiticity_defect(r1) < 1e-13
+    assert fk.hermiticity_defect(r1, 2) < 1e-13
 
 
 def test_rho_defects_see_a_non_hermitian_density(model, basis):
     # an anti-Hermitian i EPS on the diagonal leaves the commutator alone
     r1, r2 = fk.rho(basis, model, [0, 1]), fk.rho(basis, model, [1, 2])
-    assert vf.rho_hermiticity_defect(r1) < 1e-13
+    assert fk.hermiticity_defect(r1, 2) < 1e-13
     r1 = r1 + 1j * EPS * fk.identity(basis)
-    assert vf.rho_hermiticity_defect(r1) == pytest.approx(2 * EPS, rel=1e-9)
+    assert fk.hermiticity_defect(r1, 2) == pytest.approx(2 * EPS, rel=1e-9)
     assert vf.rho_commutation_defect(r1, r2) < 1e-10
 
 
@@ -308,3 +308,22 @@ def test_run_battery_refuses_the_fields_it_would_ignore(fields, message):
     with pytest.raises(ConfigError) as info:
         vf.run_battery(cli.ExperimentConfig(**fields))
     assert str(info.value) == message
+
+
+def test_an_unindexable_fock_basis_fails_only_the_fock_lines():
+    # comb(5 + 10**30, 5) states cannot be indexed: the basis is refused by the
+    # size rule at once, and each line that reads a basis records that refusal
+    results = vf.run_battery(cli.ExperimentConfig(truncation=10 ** 30))
+    assert len(results) == 61
+    failed = [r for r in results if not r.passed]
+    assert len(failed) == 31
+    assert all(r.error.startswith("capacity: ") and "past numpy's size limit" in r.error
+               for r in failed)
+
+
+def test_orders_set_the_battery_order():
+    # the battery checks every order up to the largest of 'orders'
+    by_orders = vf.run_battery(cli.ExperimentConfig(orders=[1, 3]))
+    assert [r.to_dict() for r in by_orders] == [
+        r.to_dict() for r in vf.run_battery(cli.ExperimentConfig(max_order=3))]
+    assert len(by_orders) == 67 and all(r.passed for r in by_orders)
