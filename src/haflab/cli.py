@@ -261,10 +261,10 @@ def cmd_sample(args, cfg: ExperimentConfig) -> int:
 
 def cmd_verify(args, cfg: ExperimentConfig) -> int:
     results = run_battery(cfg)
-    lines = [json.dumps({"config_sha256": cfg.sha256(), "seed": cfg.seed},
-                        sort_keys=True)]
-    lines += [json.dumps(r.to_dict(), sort_keys=True) for r in results]
-    if args.out is not None:
+    if args.out is not None:   # the records are built only to be written
+        lines = [json.dumps({"config_sha256": cfg.sha256(), "seed": cfg.seed},
+                            sort_keys=True)]
+        lines += [json.dumps(r.to_dict(), sort_keys=True) for r in results]
         os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
         mode = "w" if args.force else "a"
         with open(args.out, mode, encoding="ascii", newline="\n") as fh:

@@ -48,7 +48,16 @@ class FockBasis:
         self.n_feature = n_feature
         self.truncation = truncation
         self.n_modes = n = n_grid + n_feature
-        check_size(math.comb(n + truncation, n), n)   # the basis, before any sector is built
+        states = math.comb(n + truncation, n)
+        check_size(states, n)   # the basis, before any sector is built
+        try:
+            self._build(n, truncation)
+        except MemoryError as exc:   # below numpy's size limit, but past free memory
+            # without the failed build's frames: they hold every sector built so far
+            raise CapacityError(f"a Fock basis of {states} states does not fit "
+                                f"in memory") from exc.with_traceback(None)
+
+    def _build(self, n: int, truncation: int) -> None:
         # Sector k + 1 is every sector-k row plus e_j, lexsorted and
         # deduplicated; the position a raised row lands at is its source's
         # +1_j neighbour, so the raising tables come with the basis: per mode
@@ -66,11 +75,12 @@ class FockBasis:
             rank[order] = np.cumsum(new) - 1
             dst.append(rank.reshape(n, len(low)) + sum(map(len, sectors)))
             sectors.append(rows[new])
-        self.occupations = occ = np.concatenate(sectors)
+        occ = np.concatenate(sectors)
         occ.flags.writeable = False
-        self.totals = occ.sum(axis=1)
-        self.raise_dst = np.concatenate(dst, axis=1)
-        self.raise_amp = np.sqrt(occ[:self.raise_dst.shape[1]].T + 1.0)
+        raise_dst = np.concatenate(dst, axis=1)
+        # set together, once every table is built, so a failed build sets none
+        self.occupations, self.totals, self.raise_dst, self.raise_amp = (
+            occ, occ.sum(axis=1), raise_dst, np.sqrt(occ[:raise_dst.shape[1]].T + 1.0))
 
     @property
     def size(self) -> int:

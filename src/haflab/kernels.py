@@ -222,14 +222,7 @@ def intensity_profile(grid: Grid, lam) -> GaussianFieldModel:
     return GaussianFieldModel(grid, empty, empty, mean=lam)
 
 
-def cell_indices(cells, n_cells: int) -> np.ndarray:
-    """Cell indices as an ``intp`` array, in order and with repeats kept.
-
-    The one rule every layer reads: `cells` is a flat collection (list,
-    tuple, array, range, set) of Python or numpy integers in
-    ``0..n_cells-1``, possibly empty.  A float, bool or string index, or
-    one out of range, raises `DimensionError`; none is truncated or wrapped.
-    """
+def _cell_list(cells, n_cells: int) -> list[int]:
     # Checked one by one in Python: numpy would turn a bool beside an int
     # into that int, and on a few indices its reductions cost more.
     items = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
@@ -238,13 +231,24 @@ def cell_indices(cells, n_cells: int) -> np.ndarray:
             raise DimensionError(f"cell indices must be integers: {c!r} is not an integer")
         if not 0 <= c < n_cells:
             raise DimensionError(f"cell index {c} is out of range 0..{n_cells - 1}")
-    return np.array(items, dtype=np.intp)
+    return items
+
+
+def cell_indices(cells, n_cells: int) -> np.ndarray:
+    """Cell indices as an ``intp`` array, in order and with repeats kept.
+
+    The one rule every layer reads: `cells` is a flat collection (list,
+    tuple, array, range, set) of Python or numpy integers in
+    ``0..n_cells-1``, possibly empty.  A float, bool or string index, or
+    one out of range, raises `DimensionError`; none is truncated or wrapped.
+    """
+    return np.array(_cell_list(cells, n_cells), dtype=np.intp)
 
 
 def cell_set(cells, n_cells: int) -> np.ndarray:
     """`cell_indices` as a set: sorted, each cell once."""
     # Not np.unique: on numpy 2.4 its first call raises peak memory by 1.7 MB.
-    return np.array(sorted(set(cell_indices(cells, n_cells).tolist())), dtype=np.intp)
+    return np.array(sorted(set(_cell_list(cells, n_cells))), dtype=np.intp)
 
 
 def check_size(*shape: int) -> None:
@@ -264,9 +268,6 @@ def check_disjoint(cell_sets) -> None:
                 raise PreconditionError(f"boxes {owner[c]} and {j} overlap")
 
 
-_PAIR = np.array([0, 1])
-
-
 def block_kernel(model: GaussianFieldModel, points) -> np.ndarray:
     """2n x 2n correlation kernel for a tuple of cell indices.
 
@@ -276,11 +277,13 @@ def block_kernel(model: GaussianFieldModel, points) -> np.ndarray:
     exactly symmetric.  Repeated indices are allowed; the result is a
     fresh writable array.
     """
-    pts = cell_indices(points, model.grid.n_cells)
-    if pts.size == 0:
+    pts = _cell_list(points, model.grid.n_cells)
+    if not pts:
         raise DimensionError("need at least one cell index")
-    idx = (2 * pts[:, None] + _PAIR).ravel()
-    return model.kernel[idx[:, None], idx]
+    # Rows 2p, 2p+1 of every point, then the same columns: two takes cost
+    # less than one 2-D fancy index on these few points.
+    idx = np.array([k for p in pts for k in (2 * p, 2 * p + 1)], dtype=np.intp)
+    return model.kernel.take(idx, 0).take(idx, 1)
 
 
 def intensity_integral(model: GaussianFieldModel, cells) -> float:

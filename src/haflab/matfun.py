@@ -108,7 +108,8 @@ def _dp_schedule(dim: int) -> tuple:
     ``i`` and one partner ``j``; each level keeps its subsets as sorted
     bitmasks, so a child's position one level down is a binary search.
     Returns, from the pairs level up to the full set, one ``(ij, slot)``
-    pair of read-only ``int32`` arrays of shape ``(subsets, size - 1)``:
+    pair of read-only ``intp`` arrays of shape ``(subsets, size - 1)``
+    (numpy's index type, so no gather casts its index):
     ``ij`` is the flat index ``i * dim + j`` (partners ascending) and
     ``slot`` the position of the child subset.
     """
@@ -117,18 +118,18 @@ def _dp_schedule(dim: int) -> tuple:
     for size in range(dim, 0, -2):
         low = masks & -masks
         rest = masks ^ low
-        row = np.log2(low).astype(np.int32) * dim
+        row = np.log2(low).astype(np.intp) * dim
         children = np.empty((len(masks), size - 1), dtype=np.int64)
-        ij = np.empty(children.shape, dtype=np.int32)
+        ij = np.empty(children.shape, dtype=np.intp)
         sweep = rest.copy()
         for t in range(size - 1):
             low = sweep & -sweep
             sweep ^= low
             children[:, t] = rest ^ low
-            ij[:, t] = row + np.log2(low).astype(np.int32)
+            ij[:, t] = row + np.log2(low).astype(np.intp)
         masks = np.sort(children, axis=None)
         masks = masks[np.append(True, masks[1:] != masks[:-1])]
-        slot = np.searchsorted(masks, children).astype(np.int32)
+        slot = np.searchsorted(masks, children)
         ij.setflags(write=False)
         slot.setflags(write=False)
         levels.append((ij, slot))
@@ -151,13 +152,15 @@ def hafnian_dp(matrix) -> complex:
     if dim == 0:
         return 1.0 + 0.0j
     (pairs, _), *levels = _dp_schedule(dim)
+    # Plain indexing, not take(): take copies a read-only index on every
+    # call.  np.add.reduce is the ufunc behind .sum, without its wrapper.
     flat = c.ravel()
-    haf = flat.take(pairs.ravel())
+    haf = flat[pairs.ravel()]
     for ij, slot in levels:
-        terms = flat.take(ij)
-        terms *= haf.take(slot)
-        haf = terms.sum(axis=1)
-    return complex(haf[0])
+        terms = flat[ij]
+        terms *= haf[slot]
+        haf = np.add.reduce(terms, axis=1)
+    return haf.item()
 
 
 def permanent(matrix) -> complex:

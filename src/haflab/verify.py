@@ -236,7 +236,7 @@ def _process_table(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig
                    max_order: int, fock_orders, rng: np.random.Generator, fock_basis) -> list:
     m_cells = model.grid.n_cells
     boxes2 = cfg.disjoint_boxes(m_cells)
-    basis = functools.partial(fock_basis, m_cells, model.feature_dim)
+    basis = fock_basis(m_cells, model.feature_dim)
     # overlapping boxes: both contain cell 0
     r1 = _shared(lambda: fk.rho(basis(), model, {*boxes2[0], 0}))
     r2 = _shared(lambda: fk.rho(basis(), model, {*boxes2[1], 0}))
@@ -283,7 +283,7 @@ def _poisson_table(cfg: ExperimentConfig, fock_orders, rng: np.random.Generator,
         return _zscore(emp.value, kn.intensity_integral(profile(), range(cells)), emp.std_error)
 
     def theta_closed_form():
-        basis = fock_basis(cells, 0)
+        basis = fock_basis(cells, 0)()
         worst = max(poisson_theta_gap(basis, profile(), [[j % cells] for j in range(n)])
                     for n in fock_orders)
         return _residual(worst, 1e-10)
@@ -316,9 +316,9 @@ def run_battery(cfg: ExperimentConfig) -> list[CheckResult]:
                else [cfg.model] if cfg.model is not None else DEFAULT_MODELS)
     models = [kn.model_entry(entry, grid) for entry in entries]
 
-    @functools.cache   # one basis per shape, built when a check first needs it
-    def fock_basis(n_grid: int, n_feature: int) -> fk.FockBasis:
-        return fk.FockBasis(n_grid, n_feature, cfg.truncation)
+    @functools.cache   # one basis per shape, built (or refused) when a check first reads it
+    def fock_basis(n_grid: int, n_feature: int):
+        return _shared(lambda: fk.FockBasis(n_grid, n_feature, cfg.truncation))
 
     # The tables in run order, each built after the one before has run and
     # dropped after it, so a model's field draw is freed before its Cox and Fock checks.

@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -122,6 +123,22 @@ def test_empty_hermiticity_block_is_a_capacity_error():
 def test_basis_refuses_bad_shapes(dims, error, message):
     with pytest.raises(error, match=message):
         fk.FockBasis(*dims)
+
+
+def test_basis_allocation_failure_is_a_capacity_error(monkeypatch):
+    held = []
+
+    def build(self, n, truncation):
+        sector = np.zeros((1, n), dtype=np.int64)
+        held.append(weakref.ref(sector))
+        raise MemoryError("Unable to allocate 164. MiB")
+    monkeypatch.setattr(fk.FockBasis, "_build", build)
+    # comb(5 + 6, 5) states: below numpy's size limit, past free memory
+    with pytest.raises(CapacityError,
+                       match="^a Fock basis of 462 states does not fit in memory$") as info:
+        fk.FockBasis(3, 2, 6)
+    # the refusal, held as verify holds it, keeps no sector of the failed build alive
+    assert isinstance(info.value.__cause__, MemoryError) and held[0]() is None
 
 
 def test_operators_on_two_bases_do_not_combine(plain_basis):

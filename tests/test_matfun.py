@@ -175,8 +175,34 @@ def test_dp_schedule_matches_set_reference(dim):
     assert len(schedule) == len(expected)
     for arrays, lists in zip(schedule, expected):
         for array, rows in zip(arrays, lists):
-            assert array.dtype == np.int32 and not array.flags.writeable
+            assert array.dtype == np.intp and not array.flags.writeable
             assert array.tolist() == rows
+
+
+def hafnian_dp_int32_sum(c):
+    """The level loop as first written: ``int32`` schedule arrays gathered
+    by ``take``, each level reduced by ``.sum(axis=1)``."""
+    dim = c.shape[0]
+    if dim == 0:
+        return 1.0 + 0.0j
+    (pairs, _), *levels = [(ij.astype(np.int32), slot.astype(np.int32))
+                           for ij, slot in mf._dp_schedule(dim)]
+    flat = c.ravel()
+    haf = flat.take(pairs.ravel())
+    for ij, slot in levels:
+        terms = flat.take(ij)
+        terms *= haf.take(slot)
+        haf = terms.sum(axis=1)
+    return complex(haf[0])
+
+
+@pytest.mark.parametrize("dim", range(0, 25, 2))
+def test_hafnian_dp_bitwise_equals_int32_sum_loop(dim):
+    # intp schedules, plain indexing and np.add.reduce change the cost, not a bit
+    rng = np.random.default_rng(700 + dim)
+    for _ in range(3 if dim <= 16 else 1):
+        c = mf.random_symmetric(dim, rng)
+        assert repr(mf.hafnian_dp(c)) == repr(hafnian_dp_int32_sum(c))
 
 
 def test_hafnian_dp_builds_schedule_once_per_dimension():

@@ -4,6 +4,7 @@ defect of size EPS) has to move the reported gap by that much, so a
 function that always returned 0 would fail here."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -319,6 +320,29 @@ def test_an_unindexable_fock_basis_fails_only_the_fock_lines():
     assert len(failed) == 31
     assert all(r.error.startswith("capacity: ") and "past numpy's size limit" in r.error
                for r in failed)
+
+
+def test_a_fock_basis_past_free_memory_fails_only_the_fock_lines(monkeypatch, capsys):
+    # an allocation failure while the sectors are built is a capacity error
+    # on each line that reads the basis, and each shape is tried once
+    tried = []
+
+    def build(self, n, truncation):
+        tried.append((self.n_grid, self.n_feature, truncation))
+        raise MemoryError("Unable to allocate 164. MiB")
+    monkeypatch.setattr(fk.FockBasis, "_build", build)
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr()
+    lines = out.out.splitlines()
+    assert out.err == "" and len(lines) == 62 and lines[-1] == "30/61 checks passed"
+    failed = [line.split(maxsplit=2)[1:] for line in lines if line.startswith("FAIL ")]
+    assert len(failed) == 31
+    for name, detail in failed:
+        poisson = name == "poisson/theta-closed-form"
+        assert poisson or name.startswith("fock/")
+        states = math.comb(3 + 6, 3) if poisson else math.comb(5 + 6, 5)
+        assert detail == f"capacity: a Fock basis of {states} states does not fit in memory"
+    assert tried == [(3, 2, 6), (3, 0, 6)]
 
 
 def test_orders_set_the_battery_order():
