@@ -149,6 +149,9 @@ def _format_complex(z: complex) -> str:
 
 
 def cmd_matfun(args) -> int:
+    for flag, op in (("algo", "haf"), ("alpha", "alphadet")):
+        if getattr(args, flag) is not None and args.op != op:
+            raise ConfigError(f"--{flag} applies only to matfun {op}, not {args.op}")
     matrix = mf.read_matrix_text(args.file)
     if args.op == "haf":
         fn = mf.hafnian_enum if args.algo == "enum" else mf.hafnian_dp
@@ -158,7 +161,7 @@ def cmd_matfun(args) -> int:
     elif args.op == "det":
         value = mf.determinant(matrix)
     else:
-        value = mf.alpha_det(matrix, args.alpha)
+        value = mf.alpha_det(matrix, 1.0 if args.alpha is None else args.alpha)
     print(_format_complex(value))
     return 0
 
@@ -319,10 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mat = sub.add_parser("matfun", help="exact matrix functions")
     p_mat.add_argument("op", choices=["haf", "perm", "det", "alphadet"])
     p_mat.add_argument("file", help="matrix in the plain-text format")
-    p_mat.add_argument("--algo", choices=["enum", "dp"], default="dp",
-                       help="hafnian algorithm")
-    p_mat.add_argument("--alpha", type=float, default=1.0,
-                       help="weight for alphadet")
+    p_mat.add_argument("--algo", choices=["enum", "dp"], default=None,
+                       help="hafnian algorithm, haf only (default dp)")
+    p_mat.add_argument("--alpha", type=float, default=None,
+                       help="cycle weight, alphadet only (default 1)")
 
     for name in ("field", "cox"):
         p = sub.add_parser(name, help=f"{name} process sampling")

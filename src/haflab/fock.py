@@ -244,10 +244,9 @@ def _at(ladders, m) -> tuple:
     return tuple(v[..., m] for v in ladders)
 
 
-def ladder_pair(basis: FockBasis, source, m) -> tuple[FockOperator, FockOperator]:
-    """(A+, A-) at cell m of a field model."""
-    down = _ladder_op(basis, *_at(_ladders(basis, source), m))
-    return down.adjoint(), down
+def ladder(basis: FockBasis, source, m) -> FockOperator:
+    """A-(x_m) at cell m of a field model; A+(x_m) is its adjoint."""
+    return _ladder_op(basis, *_at(_ladders(basis, source), m))
 
 
 def phi(basis: FockBasis, model: GaussianFieldModel, m) -> FockOperator:
@@ -256,12 +255,6 @@ def phi(basis: FockBasis, model: GaussianFieldModel, m) -> FockOperator:
     g, f, _ = _at(_ladders(basis, model), m)
     f[:basis.n_grid] = 0   # drops the grid ladder; the table is this call's own
     return create(basis, g) + annihilate(basis, f)
-
-
-def psi(basis: FockBasis, model: GaussianFieldModel, m) -> FockOperator:
-    """Adjoint field operator, create(conj l2) + annihilate(conj l1):
-    A+(x_m) without its grid ladder."""
-    return phi(basis, model, m).adjoint()
 
 
 def _rho_apply(basis: FockBasis, source):

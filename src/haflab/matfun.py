@@ -79,8 +79,8 @@ def _enum_sum(c: np.ndarray) -> complex:
     # table, or, above _ENUM_TABLE_MAX_DIM, one such sum per partner of index
     # 0, so no table or gather outgrows the dim-12 one.
     dim = c.shape[0]
-    if dim <= _ENUM_TABLE_MAX_DIM:
-        return complex(c.ravel().take(_pairing_table(dim)).prod(axis=1).sum())
+    if dim <= _ENUM_TABLE_MAX_DIM:   # plain indexing: take copies the read-only table
+        return complex(c.ravel()[_pairing_table(dim)].prod(axis=1).sum())
     total = 0.0 + 0.0j
     for partner in range(1, dim):
         rest = np.delete(np.arange(1, dim), partner - 1)

@@ -145,26 +145,28 @@ def _zscore(value: float, target: float, se: float, z_max: float = 4.0) -> tuple
 
 
 def _run(name: str, thunk) -> CheckResult:
-    """One check's record: the outcome of `thunk()`, or the HaflabError it raised."""
+    """One check's record: the outcome of `thunk()`, or the HaflabError or
+    MemoryError it raised, the latter a capacity failure."""
     try:
         return CheckResult(name, *thunk())
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
         return CheckResult(name, False, error=f"capacity: {exc}")
     except HaflabError as exc:
         return CheckResult(name, False, error=str(exc))
 
 
 def _shared(compute):
-    """An input several checks read: computed on first read, its error re-raised on each."""
+    """An input several checks read: computed on first read, its error re-raised on
+    each, kept without the frames of the failed compute, which may hold its arrays."""
     memo = []
 
     def read():
         if not memo:
             try:
                 memo.append(compute())
-            except HaflabError as exc:
-                memo.append(exc)
-        if isinstance(memo[0], HaflabError):
+            except (HaflabError, MemoryError) as exc:
+                memo.append(exc.with_traceback(None))
+        if isinstance(memo[0], Exception):
             raise memo[0]
         return memo[0]
     return read
@@ -292,20 +294,28 @@ def _poisson_table(cfg: ExperimentConfig, fock_orders, rng: np.random.Generator,
 
 
 def run_battery(cfg: ExperimentConfig) -> list[CheckResult]:
-    """Run every identity check at the scale `cfg` sets: `orders` (else
-    `max_order`) bounds the moment order, and the models are `models`,
-    else `model`, else DEFAULT_MODELS, on `cfg.grid()`."""
+    """Run every identity check at the scale `cfg` sets: `orders` or
+    `max_order` bounds the moment order, and the models are `models` or
+    `model`, else DEFAULT_MODELS, on `cfg.grid()`."""
     if cfg.boxes is not None:
         raise ConfigError("verify chooses its own boxes; remove 'boxes' from the config")
     if cfg.profile is not None:
         raise ConfigError("verify draws its own Poisson intensities; "
                           "remove 'profile' from the config")
+    if cfg.orders == []:
+        raise ConfigError("verify needs at least one order, got 'orders' []")
+    if cfg.orders is not None and cfg.max_order != type(cfg).max_order:   # the field's default
+        raise ConfigError("verify reads 'orders' or 'max_order', not both; "
+                          "remove one from the config")
     max_order = max(cfg.orders) if cfg.orders else cfg.max_order
     if cfg.cells < max_order:   # the order-n theta check takes one cell per box
         raise ConfigError(f"verify needs at least {max_order} cells for moment order "
                           f"{max_order}, got 'cells' {cfg.cells}")
     if cfg.models == []:
         raise ConfigError("verify needs at least one model, got 'models' []")
+    if cfg.models is not None and cfg.model is not None:
+        raise ConfigError("verify runs 'models' or 'model', not both; "
+                          "remove one from the config")
     if cfg.replicates < 1:   # the Cox and Poisson checks average over the replicates
         raise ConfigError(f"verify needs at least 1 replicate, got 'replicates' {cfg.replicates}")
     # growth and Poisson closed-form orders: 1 always, so a small truncation fails them

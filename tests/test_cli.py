@@ -60,6 +60,28 @@ def test_matfun_alphadet_matches_det(capsys, tmp_path):
     assert det == pytest.approx(ad, abs=1e-10)
 
 
+@pytest.mark.parametrize("op, flag, message", [
+    ("perm", ["--algo", "enum"], "--algo applies only to matfun haf, not perm"),
+    ("det", ["--algo", "dp"], "--algo applies only to matfun haf, not det"),
+    ("alphadet", ["--algo", "enum"], "--algo applies only to matfun haf, not alphadet"),
+    ("haf", ["--alpha", "2"], "--alpha applies only to matfun alphadet, not haf"),
+    ("perm", ["--alpha", "1"], "--alpha applies only to matfun alphadet, not perm"),
+    ("det", ["--alpha", "3"], "--alpha applies only to matfun alphadet, not det"),
+])
+def test_matfun_refuses_a_flag_its_op_ignores(swap_matrix, capsys, op, flag, message):
+    code, out = run("matfun", op, swap_matrix, *flag, capsys=capsys)
+    assert code == 2
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
+def test_matfun_alphadet_defaults_to_the_permanent(capsys, tmp_path):
+    path = tmp_path / "b.txt"
+    write_matrix_text(path, np.random.default_rng(3).standard_normal((4, 4)) + 0j)
+    _, plain = run("matfun", "alphadet", str(path), capsys=capsys)
+    _, one = run("matfun", "alphadet", str(path), "--alpha", "1", capsys=capsys)
+    assert plain.out == one.out != ""
+
+
 def test_matfun_bad_file_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("3\n1,0 2,0\n")

@@ -295,8 +295,8 @@ def test_phi_commutators_vanish(bases):
     for name, model in MODELS.items():
         basis = bases[name]
         pa, pb = fk.phi(basis, model, 0), fk.phi(basis, model, 2)
-        qa = fk.psi(basis, model, 1)
-        for pair in [(pa, pb), (pa, qa), (qa, fk.psi(basis, model, 2))]:
+        qa = fk.phi(basis, model, 1).adjoint()
+        for pair in [(pa, pb), (pa, qa), (qa, fk.phi(basis, model, 2).adjoint())]:
             assert max_abs_on_domain(commutator(*pair), 2) <= 1e-12
 
 
@@ -304,7 +304,7 @@ def test_phi_two_point_functions(bases):
     for name, model in MODELS.items():
         basis = bases[name]
         for m in range(3):
-            val = vacuum_expectation(fk.psi(basis, model, m)
+            val = vacuum_expectation(fk.phi(basis, model, m).adjoint()
                                      @ fk.phi(basis, model, m))
             assert val == pytest.approx(model.k1[m, m], abs=1e-12)
         for a in range(3):
@@ -324,7 +324,7 @@ def test_gaussian_moment_bridge(bases):
             for m in reversed(pts):
                 vec = fk.phi(basis, model, m).mat @ vec
             for m in pts:
-                vec = fk.psi(basis, model, m).mat @ vec
+                vec = fk.phi(basis, model, m).adjoint().mat @ vec
             expected = hafnian_dp(kn.block_kernel(model, pts))
             assert vec[0] == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
@@ -339,24 +339,22 @@ def test_zero_model_ladder_pair_is_grid_ladder():
     z = np.zeros((1, 2))
     model = kn.field_model(grid, z, z)
     basis = fk.FockBasis(2, 1, 4)
-    up, down = fk.ladder_pair(basis, model, 0)
+    down = fk.ladder(basis, model, 0)
+    up = down.adjoint()
     e0 = np.array([1.0, 0.0, 0.0]) / math.sqrt(grid.volumes[0])
     assert (up - fk.create(basis, e0)).max_abs() == 0.0
     assert (down - fk.annihilate(basis, e0)).max_abs() == 0.0
 
 
-@pytest.mark.parametrize("fn", [fk.ladder_pair, fk.phi, fk.psi],
-                         ids=["ladder_pair", "phi", "psi"])
+@pytest.mark.parametrize("fn", [fk.ladder, fk.phi], ids=["ladder", "phi"])
 def test_cell_operators_read_the_cell_index_rule(bases, fn):
     model, basis = MODELS["alpha-beta-demo"], bases["alpha-beta-demo"]
     for bad in (0.7, True, "1", -1, 3, np.float64(2.0), np.bool_(False)):
         with pytest.raises(DimensionError):
             fn(basis, model, bad)
 
-    def mats(m):
-        out = fn(basis, model, m)
-        return [op.mat.toarray() for op in (out if isinstance(out, tuple) else (out,))]
-    assert all(np.array_equal(a, b) for a, b in zip(mats(np.int64(2)), mats(2), strict=True))
+    assert np.array_equal(fn(basis, model, np.int64(2)).mat.toarray(),
+                          fn(basis, model, 2).mat.toarray())
 
 
 def test_dressed_ccr_is_diagonal(bases):
@@ -365,28 +363,29 @@ def test_dressed_ccr_is_diagonal(bases):
         vols = model.grid.volumes
         for a in range(3):
             for b in range(3):
-                comm = commutator(fk.ladder_pair(basis, model, a)[1],
-                                  fk.ladder_pair(basis, model, b)[0])
+                comm = commutator(fk.ladder(basis, model, a),
+                                  fk.ladder(basis, model, b).adjoint())
                 scalar = (1.0 / vols[a]) if a == b else 0.0
                 defect = comm - scalar * fk.identity(basis)
                 keep = basis.safe_indices(2)
                 assert np.abs(defect.mat[np.ix_(keep, keep)].toarray()).max() <= 1e-10
 
 
-def test_dressed_adjoint_relation(bases):
-    model = MODELS["alpha-beta-demo"]
-    basis = bases["alpha-beta-demo"]
-    up, down = fk.ladder_pair(basis, model, 1)
-    keep = basis.safe_indices(1)
-    defect = (up.adjoint() - down).mat[np.ix_(keep, keep)].toarray()
-    assert np.abs(defect).max() <= 1e-13
+UNEVEN = kn.Grid(np.array([0.0, 0.1, 0.35, 0.7, 1.0]))
 
 
 def _cell_sources(bases):
-    """Every builtin model on its basis, and a profile with a complex mean."""
+    """Every builtin model on its basis, a profile with a complex mean, and two
+    seeded random models (1 and 2 feature pairs) on cells of unequal volume."""
     out = [(bases[name], model) for name, model in MODELS.items()]
     lam = np.array([1.0, 0.5 + 0.5j, -1j])
     out.append((fk.FockBasis(3, 0, 6), kn.intensity_profile(GRID, lam)))
+    for seed, (d, truncation) in enumerate([(1, 6), (2, 4)]):
+        rng = np.random.default_rng(seed)
+        shape = (2, d, UNEVEN.n_cells)
+        alpha, beta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        model = kn.from_alpha_beta(alpha, beta, UNEVEN)
+        out.append((fk.FockBasis(UNEVEN.n_cells, model.feature_dim, truncation), model))
     return out
 
 
@@ -399,7 +398,7 @@ def test_ladder_pair_up_is_the_written_out_adjoint(bases):
             g[basis.n_grid:] += np.conj(source.l2[:, m])
             f[basis.n_grid:] = np.conj(source.l1[:, m])
             written = fk._ladder_op(basis, g, f, np.conj(source.mean[m]))
-            up, _ = fk.ladder_pair(basis, source, m)
+            up = fk.ladder(basis, source, m).adjoint()
             assert np.array_equal(up.mat.toarray(), written.mat.toarray())
 
 
@@ -408,8 +407,8 @@ def test_rho_is_the_per_cell_quadrature(bases):
         for cells in ([0], [1, 2], [0, 1, 2]):
             ref = zero(basis)
             for m in cells:
-                up, down = fk.ladder_pair(basis, source, m)
-                ref = ref + source.grid.volumes[m] * (up @ down)
+                down = fk.ladder(basis, source, m)
+                ref = ref + source.grid.volumes[m] * (down.adjoint() @ down)
             r = fk.rho(basis, source, cells)
             assert (r - ref).max_abs() <= 1e-13 * ref.max_abs()
             # D* D is Hermitian entry for entry, on the whole truncated space
@@ -422,8 +421,8 @@ def test_single_point_density_expectation(bases):
     for name, model in MODELS.items():
         basis = bases[name]
         m = 1
-        up, down = fk.ladder_pair(basis, model, m)
-        val = vacuum_expectation(up @ down) * model.grid.volumes[m]
+        down = fk.ladder(basis, model, m)
+        val = vacuum_expectation(down.adjoint() @ down) * model.grid.volumes[m]
         assert val == pytest.approx(model.k1[m, m].real * model.grid.volumes[m],
                                     abs=1e-12)
 
@@ -483,7 +482,8 @@ def test_poisson_pair_zero_intensity():
     grid = kn.Grid.regular(0.0, 1.0, 2)
     profile = kn.intensity_profile(grid, np.zeros(2))
     basis = fk.FockBasis(2, 0, 3)
-    up, down = fk.ladder_pair(basis, profile, 1)
+    down = fk.ladder(basis, profile, 1)
+    up = down.adjoint()
     e1 = np.array([0.0, 1.0]) / math.sqrt(grid.volumes[1])
     assert (up - fk.create(basis, e1)).max_abs() == 0.0
     assert (down - fk.annihilate(basis, e1)).max_abs() == 0.0
@@ -702,8 +702,8 @@ def test_b_field_is_sum_of_ladder_pairs(bases):
     for basis, source in cases:
         expect = zero(basis)
         for m, vol in enumerate(GRID.volumes):
-            up, down = fk.ladder_pair(basis, source, m)
-            expect = expect + (vol * h[m]) * up + (vol * np.conj(h[m])) * down
+            down = fk.ladder(basis, source, m)
+            expect = expect + (vol * h[m]) * down.adjoint() + (vol * np.conj(h[m])) * down
         assert (fk.b_field(basis, source, h) - expect).max_abs() <= 1e-13
         with pytest.raises(DimensionError):
             fk.b_field(basis, source, h[:2])

@@ -303,6 +303,11 @@ def test_an_unsampled_poisson_rate_fails_only_the_lines_that_draw_counts():
     ({"boxes": [[1], [2]]}, "verify chooses its own boxes; remove 'boxes' from the config"),
     ({"profile": {"lambda": [[1.0, 0.0]] * 3}},
      "verify draws its own Poisson intensities; remove 'profile' from the config"),
+    ({"model": {"builtin": "real-gauss"}, "models": [{"builtin": "proper-fourier"}]},
+     "verify runs 'models' or 'model', not both; remove one from the config"),
+    ({"orders": [1], "max_order": 3},
+     "verify reads 'orders' or 'max_order', not both; remove one from the config"),
+    ({"orders": []}, "verify needs at least one order, got 'orders' []"),
 ])
 def test_run_battery_refuses_the_fields_it_would_ignore(fields, message):
     # in process, with no CLI in front: a field the battery does not read is an error
@@ -343,6 +348,27 @@ def test_a_fock_basis_past_free_memory_fails_only_the_fock_lines(monkeypatch, ca
         states = math.comb(3 + 6, 3) if poisson else math.comb(5 + 6, 5)
         assert detail == f"capacity: a Fock basis of {states} states does not fit in memory"
     assert tried == [(3, 2, 6), (3, 0, 6)]
+
+
+def test_a_memory_error_in_a_check_fails_only_its_lines(monkeypatch, capsys):
+    # past free memory after the basis is built: each line that reads the failed
+    # density records a capacity error, and each model's density is tried once
+    calls = []
+
+    def rho(basis, source, cells):
+        calls.append(source)
+        raise MemoryError("Unable to allocate 658. MiB")
+    monkeypatch.setattr(fk, "rho", rho)
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr()
+    lines = out.out.splitlines()
+    assert out.err == "" and len(lines) == 62 and lines[-1] == "55/61 checks passed"
+    failed = [line.split(maxsplit=2)[1:] for line in lines if line.startswith("FAIL ")]
+    assert sorted(name for name, _ in failed) == sorted(
+        f"fock/{check}[{entry['builtin']}]" for entry in vf.DEFAULT_MODELS
+        for check in ("rho-commutation", "rho-hermiticity"))
+    assert all(detail == "capacity: Unable to allocate 658. MiB" for _, detail in failed)
+    assert len(calls) == len(vf.DEFAULT_MODELS) == len(set(map(id, calls)))
 
 
 def test_orders_set_the_battery_order():
