@@ -7,15 +7,20 @@ batch-based standard error; exact quadrature values carry none.
 
 Randomness: every entry point takes a 64-bit seed (or a Generator).
 Replicate-level streams are derived with ``replicate_rng``, a counter-style
-split (SeedSequence spawn keys), so replicates are independent and safe to
-generate in parallel.  Batch samplers draw from one stream with a fixed
-reduction order, so results are reproducible bit for bit.
+split: replicate ``r`` draws the stream of
+``SeedSequence(seed, spawn_key=(r,))``, bit for bit, so replicates are
+independent and safe to generate in parallel.  The seed words are hashed
+256 replicates at a time and each block is checked against numpy's own
+SeedSequence.  Batch samplers draw from one stream with a fixed reduction
+order, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import accumulate, pairwise, product, repeat
 
 import numpy as np
 
@@ -25,9 +30,109 @@ from .kernels import (GaussianFieldModel, block_kernel, cell_indices, cell_set,
 from .matfun import hafnian_dp
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq): pool of 4 uint32 words.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+#: Replicate indices whose seed words are hashed together.
+_BLOCK = 256
+
+
+def _uint32_words(n: int) -> list[int]:
+    # SeedSequence's coercion of an int >= 0: little-endian 32-bit words, 0 -> [0]
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's running hash: call k xors with ``init * mult**k`` and
+    multiplies by ``init * mult**(k+1)``, mod 2**32, on uint32 arrays."""
+    consts = pairwise(accumulate(repeat(mult), lambda c, m: c * m & _MASK32, initial=init))
+
+    def hashed(value):
+        xor, mul = next(consts)
+        value = (value ^ xor) * mul
+        return value ^ (value >> 16)
+    return hashed
+
+
+def _mix(x, y):
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ (result >> 16)
+
+
+@lru_cache(maxsize=4)
+def _replicate_states(seed: int, block: int) -> np.ndarray:
+    """Read-only (256, 4) uint64: row i is
+    ``SeedSequence(seed, spawn_key=(256 * block + i,)).generate_state(4, np.uint64)``,
+    hashed for all rows at once in wrapping uint32 arithmetic."""
+    first = block * _BLOCK
+    # also raises numpy's own error for a negative seed or index
+    expected = np.random.SeedSequence(seed, spawn_key=(first,)).generate_state(_POOL, np.uint64)
+    # Entropy: the seed's words zero-padded to the pool size, then the
+    # index's.  An aligned block never carries out of the low index word.
+    words = _uint32_words(seed)
+    words += [0] * (_POOL - len(words))
+    entropy = np.array(words + _uint32_words(first), np.uint32)[:, None].repeat(_BLOCK, axis=1)
+    entropy[len(words)] += np.arange(_BLOCK, dtype=np.uint32)
+    # SeedSequence.mix_entropy
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # SeedSequence.generate_state(4, np.uint64): 8 uint32 words, paired little-endian
+    output = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([output(pool[i % _POOL]) for i in range(2 * _POOL)], axis=1)
+    state = state.astype("<u4").view("<u8").astype(np.uint64)
+    if not np.array_equal(state[0], expected):
+        raise RuntimeError("replicate seed words disagree with numpy's SeedSequence "
+                           f"at seed {seed}, index {first}")
+    state.flags.writeable = False
+    return state
+
+
+@lru_cache(maxsize=1)
+def _seed_source() -> type:
+    """The seed source PCG64 takes, made on first use: importing numpy.random
+    takes 5-12 ms on a shared 2-core machine, which importing haflab does
+    not pay."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        """Holds one replicate's four PCG64 state words."""
+
+        def __init__(self, words: np.ndarray):
+            self._words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != _POOL or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"holds {_POOL} uint64 words, not {n_words} of {dtype}")
+            return self._words
+
+    return Words
+
+
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent per-replicate stream derived from one root seed."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    """Replicate `index`'s stream under the root `seed`, both integers >= 0:
+    the generator ``np.random.default_rng(np.random.SeedSequence(seed,
+    spawn_key=(index,)))`` in the same state, bit for bit.
+
+    Its seed words come from a cached block of 256 indices, which is
+    hashed at once and checked against numpy's SeedSequence when built.
+    Its ``bit_generator.seed_seq`` only hands out those words; it is not a
+    SeedSequence, so ``Generator.spawn`` is not offered."""
+    block, row = divmod(operator.index(index), _BLOCK)
+    words = _replicate_states(operator.index(seed), block)[row]
+    return np.random.Generator(np.random.PCG64(_seed_source()(words)))
 
 
 @dataclass(frozen=True)
@@ -71,6 +176,8 @@ def _batch_stats(values: np.ndarray) -> tuple[float, float]:
 
 def _mc_report(label: str, values: np.ndarray) -> MomentReport:
     """A Monte Carlo estimate: the mean of `values`, one per sample, and its batch error."""
+    if values.size == 0:
+        raise PreconditionError("need at least one sample")
     return MomentReport(label, *_batch_stats(values), values.size)
 
 
@@ -155,6 +262,8 @@ def field_moment_mc(model: GaussianFieldModel, points, n_samples: int, seed) -> 
     drawn in chunks of FIELD_CHUNK samples: ``field_moment_from_draws`` of
     one ``sample_field(model, seed, size=n_samples)`` draw, bit for bit."""
     pts, label = _moment_points(points, model.grid.n_cells)
+    if n_samples < 1:
+        raise PreconditionError("need at least one sample")
     rng = np.random.default_rng(seed)
     values = np.empty(n_samples)
     for start in range(0, n_samples, FIELD_CHUNK):

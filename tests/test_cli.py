@@ -267,6 +267,31 @@ def test_cox_sample_with_deterministic_profile(tmp_path, capsys):
     assert abs(fact2["value"] - 1.0) < 4 * fact2["std_error"]
 
 
+@pytest.mark.parametrize("kind", ["cox", "field"])
+def test_sample_rows_are_the_seed_sequence_streams(tmp_path, capsys, kind):
+    # 513 replicates cross two 256-replicate blocks of replicate_rng's seed
+    # words; the seed is 2**64 + 1, three 32-bit words
+    seed, replicates = 2**64 + 1, 513
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"replicates": replicates, "cells": 3,
+                               "model": {"builtin": "proper-fourier"}}))
+    code, _ = run(kind, "sample", "--config", str(cfg), "--seed", str(seed),
+                  "--out", str(tmp_path / "run"), capsys=capsys)
+    assert code == 0
+    name = "patterns.csv" if kind == "cox" else "field.csv"
+    lines = (tmp_path / "run" / name).read_text().splitlines()[1:]
+    table = np.array([[float(x) for x in line.split(",")] for line in lines])
+    assert table.shape[0] == replicates * 3
+    assert np.array_equal(table[:, 0], np.repeat(np.arange(replicates), 3))
+    got = table[:, 2] if kind == "cox" else table[:, 2] + 1j * table[:, 3]
+    model = kn.builtin_model("proper-fourier", kn.Grid.regular(0.0, 1.0, 3))
+    sampler = haflab.sample_cox if kind == "cox" else haflab.sample_field
+    want = np.concatenate([
+        sampler(model, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,))))
+        for r in range(replicates)])
+    assert np.array_equal(got, want)
+
+
 def test_field_sample_summary(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"replicates": 30, "cells": 2, "seed": 4,

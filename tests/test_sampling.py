@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -262,6 +263,17 @@ def test_field_moment_rejects_large_order():
         sp.field_moment_from_draws(np.ones((10, 5)), [0, 1, 2, 3, 4])
 
 
+def test_empty_monte_carlo_is_refused():
+    model, m = MODELS["real-gauss"], GRID.n_cells
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no empty-mean RuntimeWarning first
+        for n in (0, -1):
+            with pytest.raises(PreconditionError, match="need at least one sample"):
+                sp.field_moment_mc(model, [0], n, seed=3)
+        with pytest.raises(PreconditionError, match="need at least one sample"):
+            sp.field_moment_from_draws(np.empty((0, m), complex), [0])
+
+
 def test_quadrature_single_box_is_intensity():
     model = MODELS["alpha-beta-demo"]
     box = [0, 2, 3]
@@ -483,6 +495,52 @@ def test_replicate_streams_are_stable_and_distinct():
     a1 = sp.replicate_rng(9, 1).standard_normal(4)
     assert np.array_equal(a0, a0_again)
     assert not np.array_equal(a0, a1)
+
+
+def _seed_sequence_rng(seed, index):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 77, 2024, 2**32 - 1, 2**32, 2**64 - 1, 2**64,
+                                  2**130 + 7, np.int64(5)])
+def test_replicate_rng_is_the_seed_sequence_stream(seed):
+    # block edges, the low index word's edge, and multi-word seeds and indices
+    for index in (0, 1, 255, 256, 257, 511, 2**32 - 1, 2**32, 2**32 + 255, 2**64 + 3):
+        ours, numpy_route = sp.replicate_rng(seed, index), _seed_sequence_rng(seed, index)
+        assert ours.bit_generator.state == numpy_route.bit_generator.state, index
+        assert np.array_equal(ours.standard_normal(4), numpy_route.standard_normal(4)), index
+
+
+@pytest.mark.parametrize("seed, index, error", [(-1, 0, ValueError), (0, -1, ValueError),
+                                                (-1, 300, ValueError), (1.0, 0, TypeError),
+                                                (0, 1.0, TypeError), (0, 256.0, TypeError)])
+def test_replicate_rng_refuses_like_seed_sequence(seed, index, error):
+    sp.replicate_rng(0, 0), sp.replicate_rng(0, 256)   # cached: a float must not hit them
+    with pytest.raises(error):
+        _seed_sequence_rng(seed, index)
+    with pytest.raises(error):
+        sp.replicate_rng(seed, index)
+
+
+def test_replicate_rng_checks_its_hash_against_numpy(monkeypatch):
+    monkeypatch.setattr(sp, "_MIX_L", sp._MIX_L ^ 1)
+    sp._replicate_states.cache_clear()
+    with pytest.raises(RuntimeError, match="SeedSequence"):
+        sp.replicate_rng(9, 0)
+    monkeypatch.undo()
+    assert sp.replicate_rng(9, 0).bit_generator.state == _seed_sequence_rng(9, 0).bit_generator.state
+
+
+def test_replicate_rng_seed_source_holds_only_its_words():
+    rng = sp.replicate_rng(9, 3)
+    words = rng.bit_generator.seed_seq
+    assert not isinstance(words, np.random.SeedSequence)
+    assert np.array_equal(words.generate_state(4, np.uint64),
+                          np.random.SeedSequence(9, spawn_key=(3,)).generate_state(4, np.uint64))
+    with pytest.raises(ValueError):
+        words.generate_state(8, np.uint32)
+    with pytest.raises(TypeError):
+        rng.spawn(1)
 
 
 def test_moment_report_serialization():
