@@ -31,10 +31,14 @@ def _list_of(test):
     return lambda x: isinstance(x, list) and all(test(item) for item in x)
 
 
-def _typed(default, kind: str, test):
-    """A config field and the JSON type it takes, `kind` naming `test`;
-    null is accepted where the default is None."""
-    return field(default=default, metadata={"kind": kind, "test": test})
+_ALL = ("cox sample", "field sample", "verify")
+_SAMPLE = ("cox sample", "field sample")
+
+
+def _typed(default, kind: str, test, readers=_ALL):
+    """A config field, the JSON type it takes, `kind` naming `test`, and the
+    commands that read it; null is accepted where the default is None."""
+    return field(default=default, metadata={"kind": kind, "test": test, "readers": readers})
 
 
 def _check_ranges(*checks) -> None:
@@ -51,14 +55,14 @@ class ExperimentConfig:
                            lambda x: _list_of(_number)(x) and len(x) == 2)
     cells: int = _typed(3, "an integer", _whole)
     replicates: int = _typed(1000, "an integer", _whole)
-    truncation: int = _typed(6, "an integer", _whole)
-    mc_samples: int = _typed(40_000, "an integer", _whole)
-    max_order: int = _typed(2, "an integer", _whole)
-    boxes: list | None = _typed(None, "a list of integer lists", _list_of(_list_of(_whole)))
-    orders: list | None = _typed(None, "a list of integers", _list_of(_whole))
+    truncation: int = _typed(6, "an integer", _whole, ("verify",))
+    mc_samples: int = _typed(40_000, "an integer", _whole, ("verify",))
+    max_order: int = _typed(2, "an integer", _whole, ("verify",))
+    boxes: list | None = _typed(None, "a list of integer lists", _list_of(_list_of(_whole)), _SAMPLE)
+    orders: list | None = _typed(None, "a list of integers", _list_of(_whole), _SAMPLE)
     model: dict | None = _typed(None, "an object", _instance(dict))
-    models: list | None = _typed(None, "a list of objects", _list_of(_instance(dict)))
-    profile: dict | None = _typed(None, "an object", _instance(dict))
+    models: list | None = _typed(None, "a list of objects", _list_of(_instance(dict)), ("verify",))
+    profile: dict | None = _typed(None, "an object", _instance(dict), ("cox sample",))
 
     @classmethod
     def load(cls, path: str | None, seed: int | None = None) -> "ExperimentConfig":
@@ -89,6 +93,14 @@ class ExperimentConfig:
                       ("'mc_samples'", cfg.mc_samples, 1), ("'max_order'", cfg.max_order, 1),
                       ("each 'orders' entry", min(cfg.orders or [1]), 1))
         return cfg
+
+    def refuse_unread(self, command: str) -> None:
+        """Raise a ConfigError naming each field `command` does not read that is
+        set off its default, rather than ignore it."""
+        unread = [f.name for f in fields(self) if command not in f.metadata["readers"]
+                  and getattr(self, f.name) != f.default]
+        if unread:
+            raise ConfigError(f"{command} does not read {unread}; remove them from the config")
 
     def sha256(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, default=list)
@@ -199,18 +211,10 @@ def _csv_lines(template: str, start: int, block: np.ndarray) -> str:
 
 def cmd_sample(args, cfg: ExperimentConfig) -> int:
     kind = args.command
+    cfg.refuse_unread(f"{kind} sample")
     if args.out is None:
         raise ConfigError("an output directory is required (--out)")
-    if cfg.models is not None:
-        raise ConfigError(f"{kind} sample draws one model; name it in 'model' "
-                          "and remove 'models' from the config")
-    unread = [f.name for f in fields(cfg) if f.name in ("truncation", "mc_samples", "max_order")
-              and getattr(cfg, f.name) != f.default]
-    if unread:
-        raise ConfigError(f"{kind} sample does not read {unread}; remove them from the config")
     # a profile is a model with no features, whose Cox counts are plain Poisson
-    if kind == "field" and cfg.profile is not None:
-        raise ConfigError("field sample draws a Gaussian field; remove 'profile' from the config")
     if cfg.profile is not None and cfg.model is not None:
         raise ConfigError("cox sample draws from 'profile' or from 'model', not both; "
                           "remove one from the config")

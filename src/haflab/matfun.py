@@ -270,15 +270,18 @@ def random_symmetric(dim: int, rng: np.random.Generator) -> np.ndarray:
 def bench_hafnian(sizes, repetitions: int = 3, *, seed: int = 0) -> list[BenchRow]:
     """Median wall-clock time of both hafnian algorithms per size.
 
-    Sizes must be even.  Each algorithm is timed only up to its own cap,
-    after one untimed call; a size beyond every cap raises.
+    Every size must be even and within the dp cap, and all are checked
+    before any is timed.  Each algorithm is timed only up to its own cap,
+    after one untimed call.
     """
+    sizes = [int(size) for size in sizes]
+    for size in sizes:
+        _check_even(size)
+        _check_cap(size, HAFNIAN_DP_MAX_DIM, "bench_hafnian")
     rows: list[BenchRow] = []
     rng = np.random.default_rng(seed)
     for size in sizes:
-        size = int(size)
         c = random_symmetric(size, rng)
-        _check_cap(size, HAFNIAN_DP_MAX_DIM, "bench_hafnian")
         for name, fn, cap in (("enum", hafnian_enum, HAFNIAN_ENUM_MAX_DIM),
                               ("dp", hafnian_dp, HAFNIAN_DP_MAX_DIM)):
             if size > cap:

@@ -204,7 +204,7 @@ def _asymmetry(a: np.ndarray) -> float:
 
 
 def _field_table(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig,
-                 max_order: int, rng: np.random.Generator) -> list:
+                 rng: np.random.Generator) -> list:
     m_cells = model.grid.n_cells
     # One field draw serves the covariance entry and every moment order.
     draws = _shared(lambda: sp.sample_field(model, rng, size=cfg.mc_samples))
@@ -230,12 +230,12 @@ def _field_table(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig,
          lambda: _residual(_asymmetry(model.augmented[0]), 1e-12)),
         (f"sampling/field-covariance-mc[{tag}]", field_covariance),
         *((f"sampling/moment-vs-hafnian[{tag},n={n}]", functools.partial(moment_vs_hafnian, n))
-          for n in range(1, max_order + 1)),
+          for n in range(1, cfg.max_order + 1)),
     ]
 
 
 def _process_table(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig,
-                   max_order: int, fock_orders, rng: np.random.Generator, fock_basis) -> list:
+                   fock_orders, rng: np.random.Generator, fock_basis) -> list:
     m_cells = model.grid.n_cells
     boxes2 = cfg.disjoint_boxes(m_cells)
     basis = fock_basis(m_cells, model.feature_dim)
@@ -259,7 +259,7 @@ def _process_table(tag: str, model: kn.GaussianFieldModel, cfg: ExperimentConfig
     return [
         (f"sampling/cox-product-moment[{tag}]", cox_product_moment),
         *((f"fock/theta-vs-quadrature[{tag},n={n}]", functools.partial(theta_vs_quadrature, n))
-          for n in range(1, max_order + 1)),
+          for n in range(1, cfg.max_order + 1)),
         (f"fock/rho-commutation[{tag}]",
          lambda: _residual(rho_commutation_defect(r1(), r2()), 1e-10)),
         (f"fock/rho-hermiticity[{tag}]", lambda: _residual(fk.hermiticity_defect(r1(), 2), 1e-13)),
@@ -294,23 +294,16 @@ def _poisson_table(cfg: ExperimentConfig, fock_orders, rng: np.random.Generator,
 
 
 def run_battery(cfg: ExperimentConfig) -> list[CheckResult]:
-    """Run every identity check at the scale `cfg` sets: `orders` or
-    `max_order` bounds the moment order, and the models are `models` or
-    `model`, else DEFAULT_MODELS, on `cfg.grid()`."""
-    if cfg.boxes is not None:
-        raise ConfigError("verify chooses its own boxes; remove 'boxes' from the config")
-    if cfg.profile is not None:
-        raise ConfigError("verify draws its own Poisson intensities; "
-                          "remove 'profile' from the config")
-    if cfg.orders == []:
-        raise ConfigError("verify needs at least one order, got 'orders' []")
-    if cfg.orders is not None and cfg.max_order != type(cfg).max_order:   # the field's default
-        raise ConfigError("verify reads 'orders' or 'max_order', not both; "
-                          "remove one from the config")
-    max_order = max(cfg.orders) if cfg.orders else cfg.max_order
-    if cfg.cells < max_order:   # the order-n theta check takes one cell per box
-        raise ConfigError(f"verify needs at least {max_order} cells for moment order "
-                          f"{max_order}, got 'cells' {cfg.cells}")
+    """Run every identity check at the scale `cfg` sets: `max_order` bounds
+    the moment order, and the models are `models` or `model`, else
+    DEFAULT_MODELS, on `cfg.grid()`."""
+    cfg.refuse_unread("verify")
+    if cfg.max_order > sp.QUADRATURE_MAX_ORDER:   # the moment estimators' and quadrature's cap
+        raise ConfigError(f"verify runs moment orders up to {sp.QUADRATURE_MAX_ORDER}, "
+                          f"got 'max_order' {cfg.max_order}")
+    if cfg.cells < cfg.max_order:   # the order-n theta check takes one cell per box
+        raise ConfigError(f"verify needs at least {cfg.max_order} cells for moment order "
+                          f"{cfg.max_order}, got 'cells' {cfg.cells}")
     if cfg.models == []:
         raise ConfigError("verify needs at least one model, got 'models' []")
     if cfg.models is not None and cfg.model is not None:
@@ -325,6 +318,10 @@ def run_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     entries = (cfg.models if cfg.models is not None
                else [cfg.model] if cfg.model is not None else DEFAULT_MODELS)
     models = [kn.model_entry(entry, grid) for entry in entries]
+    tags = [tag for tag, _ in models]
+    twice = [tag for i, tag in enumerate(tags) if tag in tags[:i]]
+    if twice:   # each model's lines are told apart by its name alone
+        raise ConfigError(f"verify names each model once, got {twice[0]!r} more than once")
 
     @functools.cache   # one basis per shape, built (or refused) when a check first reads it
     def fock_basis(n_grid: int, n_feature: int):
@@ -335,7 +332,7 @@ def run_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     def tables():
         yield _matfun_table(rng)
         for tag, model in models:
-            yield _field_table(tag, model, cfg, max_order, rng)
-            yield _process_table(tag, model, cfg, max_order, fock_orders, rng, fock_basis)
+            yield _field_table(tag, model, cfg, rng)
+            yield _process_table(tag, model, cfg, fock_orders, rng, fock_basis)
         yield _poisson_table(cfg, fock_orders, rng, fock_basis)
     return [_run(name, thunk) for table in tables() for name, thunk in table]

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ import pytest
 import haflab
 from haflab import cli
 from haflab import kernels as kn
+from haflab import matfun as mf
 from haflab.matfun import write_matrix_text
 
 
@@ -597,8 +600,8 @@ def test_verify_unindexable_draw_fails_only_the_lines_that_read_it(tmp_path, cap
     ({"models": [1]}, "'models' must be a list of objects"),
     ({"models": [{"foo": 1}]}, "needs a 'builtin' name or a 'path'"),
     ({"window": [1.0, 0.0]}, "'window' must have finite ends with lo < hi, got [1.0, 0.0]"),
-    ({"boxes": [[0], [1]]}, "verify chooses its own boxes"),
-    ({"profile": {"lambda": [[1.0, 0.0]] * 3}}, "verify draws its own Poisson"),
+    ({"boxes": [[0], [1]]}, "verify does not read ['boxes']"),
+    ({"profile": {"lambda": [[1.0, 0.0]] * 3}}, "verify does not read ['profile']"),
     ({"models": [{"builtin": "proper-fourier", "params": {"n_freq": "x"}}]},
      "model parameter 'n_freq' must be a number"),
     ({"models": [{"builtin": "proper-fourier", "params": "x"}]},
@@ -720,7 +723,7 @@ def test_verify_negative_seed_flag_exit_2(capsys):
     ({"profile": {"lambda": [[1.0, 0.0]] * 2}, "model": {"builtin": "real-gauss"}}, [],
      "cox sample draws from 'profile' or from 'model', not both; remove one from the config"),
     ({"models": [{"builtin": "real-gauss"}]}, [],
-     "cox sample draws one model; name it in 'model' and remove 'models' from the config"),
+     "cox sample does not read ['models']; remove them from the config"),
     ({"model": {"builtin": "real-gauss", "params": {"n_centers": 1.9}}}, [],
      "model parameter 'n_centers' must be an integer, got 1.9"),
     ({"profile": {}}, [], "profile needs a 'lambda' list of [re, im] pairs"),
@@ -740,9 +743,9 @@ def test_cox_sample_out_of_range_config_writes_nothing(tmp_path, capsys, doc,
 
 @pytest.mark.parametrize("doc, message", [
     ({"profile": {"lambda": [[1.0, 0.0]] * 2}},
-     "field sample draws a Gaussian field; remove 'profile' from the config"),
+     "field sample does not read ['profile']; remove them from the config"),
     ({"models": [{"builtin": "real-gauss"}]},
-     "field sample draws one model; name it in 'model' and remove 'models' from the config"),
+     "field sample does not read ['models']; remove them from the config"),
 ])
 def test_field_sample_refuses_another_process_exit_2(tmp_path, capsys, doc, message):
     cfg = tmp_path / "cfg.json"
@@ -778,6 +781,58 @@ def test_sample_refuses_the_fields_it_does_not_read(tmp_path, capsys, command, d
     assert out.err == (f"error: {command} sample does not read {unread}; "
                        "remove them from the config\n")
     assert not out_dir.exists()
+
+
+# A value off each field's default that the config loader accepts.
+_OFF_DEFAULT = {"seed": 7, "window": [0.0, 2.0], "cells": 4, "replicates": 5, "truncation": 4,
+                "mc_samples": 100, "max_order": 1, "boxes": [[0], [1]], "orders": [2],
+                "model": {"builtin": "real-gauss"}, "models": [{"builtin": "real-gauss"}],
+                "profile": {"lambda": [[1.0, 0.0]] * 3}}
+_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(cli.ExperimentConfig)}
+
+
+def test_every_config_field_names_its_readers():
+    assert set(_OFF_DEFAULT) == set(_CONFIG_FIELDS)
+    for f in _CONFIG_FIELDS.values():
+        readers = f.metadata["readers"]
+        assert readers and set(readers) <= {"cox sample", "field sample", "verify"}
+
+
+@pytest.mark.parametrize("command", ["cox sample", "field sample", "verify"])
+@pytest.mark.parametrize("name", list(_CONFIG_FIELDS))
+def test_each_command_refuses_a_set_field_it_does_not_read(tmp_path, capsys, command, name):
+    f = _CONFIG_FIELDS[name]
+    if command in f.metadata["readers"]:   # a field the command reads is never refused for it
+        cli.ExperimentConfig(**{name: _OFF_DEFAULT[name]}).refuse_unread(command)
+        return
+    cfg, out_dir = tmp_path / "cfg.json", tmp_path / "run"
+    argv = [*command.split(), "--config", str(cfg)]
+    if command != "verify":
+        argv += ["--out", str(out_dir)]
+    # at its default, written out (null for None), the field changes nothing and passes
+    cfg.write_text(json.dumps({name: f.default}))
+    code, out = run(*argv, capsys=capsys)
+    assert code == 0 and out.err == ""
+    shutil.rmtree(out_dir, ignore_errors=True)
+    cfg.write_text(json.dumps({name: _OFF_DEFAULT[name]}))
+    code, out = run(*argv, capsys=capsys)
+    assert code == 2 and out.out == ""
+    assert out.err == f"error: {command} does not read [{name!r}]; remove them from the config\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ("8,7", "hafnian needs an even dimension, got 7"),
+    ("8,26", "bench_hafnian: dimension 26 exceeds limit 24"),
+])
+def test_bench_checks_every_size_before_timing_any(monkeypatch, capsys, sizes, message):
+    called = []
+    for name in ("hafnian_enum", "hafnian_dp"):
+        monkeypatch.setattr(mf, name, lambda c, name=name: called.append(name))
+    code, out = run("bench", "--sizes", sizes, "--reps", "1", capsys=capsys)
+    assert code == 2 and out.out == ""
+    assert out.err == f"error: {message}\n"
+    assert called == []
 
 
 @pytest.mark.parametrize("flags, message", [

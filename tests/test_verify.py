@@ -299,21 +299,45 @@ def test_an_unsampled_poisson_rate_fails_only_the_lines_that_draw_counts():
 
 
 @pytest.mark.parametrize("fields, message", [
-    ({"boxes": [[0, 1, 2]]}, "verify chooses its own boxes; remove 'boxes' from the config"),
-    ({"boxes": [[1], [2]]}, "verify chooses its own boxes; remove 'boxes' from the config"),
+    ({"boxes": [[0, 1, 2]]}, "verify does not read ['boxes']; remove them from the config"),
+    ({"boxes": [[1], [2]]}, "verify does not read ['boxes']; remove them from the config"),
     ({"profile": {"lambda": [[1.0, 0.0]] * 3}},
-     "verify draws its own Poisson intensities; remove 'profile' from the config"),
+     "verify does not read ['profile']; remove them from the config"),
     ({"model": {"builtin": "real-gauss"}, "models": [{"builtin": "proper-fourier"}]},
      "verify runs 'models' or 'model', not both; remove one from the config"),
     ({"orders": [1], "max_order": 3},
-     "verify reads 'orders' or 'max_order', not both; remove one from the config"),
-    ({"orders": []}, "verify needs at least one order, got 'orders' []"),
+     "verify does not read ['orders']; remove them from the config"),
+    ({"orders": []}, "verify does not read ['orders']; remove them from the config"),
 ])
 def test_run_battery_refuses_the_fields_it_would_ignore(fields, message):
     # in process, with no CLI in front: a field the battery does not read is an error
     with pytest.raises(ConfigError) as info:
         vf.run_battery(cli.ExperimentConfig(**fields))
     assert str(info.value) == message
+
+
+def test_run_battery_refuses_an_order_past_its_moment_routes():
+    # the quadrature and the field-moment estimator stop at order 4, so no
+    # seed or truncation could pass an order-5 line; order 4 still runs
+    with pytest.raises(ConfigError) as info:
+        vf.run_battery(cli.ExperimentConfig(max_order=5, cells=5))
+    assert str(info.value) == "verify runs moment orders up to 4, got 'max_order' 5"
+    results = vf.run_battery(cli.ExperimentConfig(max_order=4, cells=4, truncation=8))
+    assert len(results) == 73 and all(r.passed for r in results)
+
+
+def test_run_battery_refuses_a_model_name_given_twice(tmp_path):
+    # each model's lines carry its name alone, so two entries of one name
+    # would print lines and records that cannot be told apart
+    path = str(tmp_path / "model.json")
+    kn.save_model(path, kn.builtin_model("real-gauss", cli.ExperimentConfig().grid()))
+    for entries, name in [
+            ([{"builtin": "proper-fourier", "params": {"n_freq": 1}},
+              {"builtin": "proper-fourier", "params": {"n_freq": 2}}], "proper-fourier"),
+            ([{"path": path}, {"builtin": "real-gauss"}, {"path": path}], path)]:
+        with pytest.raises(ConfigError) as info:
+            vf.run_battery(cli.ExperimentConfig(models=entries))
+        assert str(info.value) == f"verify names each model once, got {name!r} more than once"
 
 
 def test_an_unindexable_fock_basis_fails_only_the_fock_lines():
@@ -372,8 +396,6 @@ def test_a_memory_error_in_a_check_fails_only_its_lines(monkeypatch, capsys):
 
 
 def test_orders_set_the_battery_order():
-    # the battery checks every order up to the largest of 'orders'
-    by_orders = vf.run_battery(cli.ExperimentConfig(orders=[1, 3]))
-    assert [r.to_dict() for r in by_orders] == [
-        r.to_dict() for r in vf.run_battery(cli.ExperimentConfig(max_order=3))]
-    assert len(by_orders) == 67 and all(r.passed for r in by_orders)
+    # the battery checks every order up to 'max_order'
+    results = vf.run_battery(cli.ExperimentConfig(max_order=3))
+    assert len(results) == 67 and all(r.passed for r in results)
