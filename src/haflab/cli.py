@@ -117,13 +117,16 @@ class ExperimentConfig:
         """The model with no features and a mean of one [re, im] pair per cell."""
         _known(self.profile, ["lambda"], "unknown profile keys")
         try:
-            lam = np.array([complex(*_finite_pair(p, "each profile 'lambda' entry"))
-                            for p in self.profile["lambda"]])
+            pairs = [_finite_pair(p, "each profile 'lambda' entry") for p in self.profile["lambda"]]
         except (KeyError, TypeError) as exc:
             raise ConfigError("profile needs a 'lambda' list of [re, im] pairs") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        return kn.intensity_profile(self.grid(), lam)
+        for re, im in pairs:   # in Python floats, which overflow to inf where numpy would raise
+            if not np.isfinite(re * re + im * im):
+                raise ConfigError(f"each profile 'lambda' entry must have a finite rate "
+                                  f"|lambda|^2, got {[re, im]}")
+        return kn.intensity_profile(self.grid(), np.array([complex(*p) for p in pairs]))
 
     def disjoint_boxes(self, n_cells: int) -> list[list[int]]:
         if self.boxes is not None:
@@ -164,6 +167,8 @@ def cmd_matfun(args) -> int:
     for flag, op in (("algo", "haf"), ("alpha", "alphadet")):
         if getattr(args, flag) is not None and args.op != op:
             raise ConfigError(f"--{flag} applies only to matfun {op}, not {args.op}")
+    if args.alpha is not None and not np.isfinite(args.alpha):
+        raise ConfigError(f"--alpha must be finite, got {args.alpha}")
     matrix = mf.read_matrix_text(args.file)
     if args.op == "haf":
         fn = mf.hafnian_enum if args.algo == "enum" else mf.hafnian_dp
@@ -355,7 +360,8 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="raise", invalid="raise"):
             if args.command == "matfun":
-                with _naming(f"matrix file {args.file}"):
+                alpha = "" if args.alpha is None else f", --alpha {args.alpha!r}"
+                with _naming(f"matrix file {args.file}{alpha}"):
                     return cmd_matfun(args)
             if args.command == "bench":
                 return cmd_bench(args)

@@ -11,7 +11,7 @@ exactly.
 Operators are stored as sparse complex matrices over the enumerated
 states; index 0 is the vacuum.  scipy.sparse is imported by the functions
 that assemble an operator, so the basis and the vacuum routes (`theta`,
-`moment`, `quasifree_T`, `bogoliubov_check`) run on numpy alone.
+`moment`, `quasifree_T`) run on numpy alone.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ from .kernels import GaussianFieldModel, cell_indices, cell_set, check_size
 if TYPE_CHECKING:
     from scipy import sparse
 
-#: Most boxes of a Wick polynomial, and the largest residual of either
-#: condition that `bogoliubov_check` passes.
+#: Most boxes of a Wick polynomial.
 WICK_MAX_ORDER = 4
-BOGOLIUBOV_TOL = 1e-8
 
 
 class FockBasis:
@@ -394,49 +392,3 @@ def quasifree_T(basis: FockBasis, source, hs) -> complex:
     for u, w, _ in reversed(coeffs):
         vec = _ladder_apply(basis, u, w, 0.0, vec)
     return complex(vec[0])
-
-
-# ---------------------------------------------------------------------------
-# Dressed-representation admissibility check
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BogoliubovReport:
-    residual_symmetry: float    # transpose-coupling condition
-    residual_commutation: float  # K2*K2 - K1*K1 = 1
-    passed: bool
-    t2_max_deviation: float | None   # closed form vs Fock evaluation
-
-
-def bogoliubov_check(k1_map, k2_map) -> BogoliubovReport:
-    """Check the two admissibility conditions on a dressed ladder pair
-    A+(h) = a+(K2 h) + a-(K1 h), and when they hold compare the closed-form
-    two-point function ((K1 + conj K2 conj) f, . h) against the vacuum
-    expectation <0|b(f) b(h)|0>, pushed through the ladder tables of a
-    small truncated Fock space with no operator built."""
-    k1 = np.asarray(k1_map, dtype=complex)
-    k2 = np.asarray(k2_map, dtype=complex)
-    if k1.ndim != 2 or k1.shape != k2.shape:
-        raise DimensionError("maps must be matrices of identical shape")
-    q, p = k1.shape
-    res_sym = float(np.linalg.norm(k2.T @ k1 - k1.T @ k2, 2))
-    res_ccr = float(np.linalg.norm(k2.conj().T @ k2 - k1.conj().T @ k1 - np.eye(p), 2))
-    passed = res_sym <= BOGOLIUBOV_TOL and res_ccr <= BOGOLIUBOV_TOL
-    if not passed:
-        return BogoliubovReport(res_sym, res_ccr, False, None)
-
-    basis = FockBasis(q, 0, 2)
-    rng = np.random.default_rng(0)
-    vectors = [np.eye(p, dtype=complex)[j] for j in range(min(p, 2))]
-    for _ in range(4):   # plus four fixed random test vectors
-        vectors.append(rng.standard_normal(p) + 1j * rng.standard_normal(p))
-    # b(v) = A+(v) + A+(v)* = create(conj w) + annihilate(w), w = (K1 + conj K2 conj) v
-    ws = [k1 @ v + np.conj(k2 @ v) for v in vectors]
-    dev = 0.0
-    for wh in ws:
-        b_h = _ladder_apply(basis, wh.conj(), wh, 0.0, basis.vacuum())   # b(h)|0>
-        for wf in ws:
-            fock_val = complex(_ladder_apply(basis, wf.conj(), wf, 0.0, b_h)[0])
-            dev = max(dev, abs(fock_val - complex(np.vdot(wh, wf))))
-    return BogoliubovReport(res_sym, res_ccr, True, dev)

@@ -328,7 +328,8 @@ def builtin_model(name: str, grid: Grid, params: dict | None = None) -> Gaussian
     - "alpha-beta-demo": mixed field with complex k1 and nonzero k2.
 
     Each takes its feature count (an integer >= 1), a finite positive
-    "lengthscale" and a finite "scale"; a bool or a string is no number.
+    "lengthscale" and a "scale" whose square is finite; a bool or a string
+    is no number.
     """
     if params is not None and not isinstance(params, dict):
         raise ConfigError(f"parameters for {name!r} must be an object")
@@ -349,6 +350,8 @@ def builtin_model(name: str, grid: Grid, params: dict | None = None) -> Gaussian
     scale = _param(params, "scale", 1.0)
     if not np.isfinite(scale):
         raise ConfigError(f"model parameter 'scale' must be finite, got {scale}")
+    if not math.isfinite(scale * scale):   # the features' squared norms would overflow
+        raise ConfigError(f"model parameter 'scale' must have a finite square, got {scale}")
 
     if name == "proper-fourier":
         base = _se_fourier_features(x, count, ell, scale)

@@ -156,7 +156,8 @@ class MomentReport:
 BATCHES = 100
 #: Samples ``field_moment_mc`` draws at a time: bounded memory.
 FIELD_CHUNK = 4096
-#: Most cell tuples, and most boxes, the hafnian quadrature takes.
+#: Most cell tuples, and most boxes, the hafnian quadrature takes; the box
+#: cap is the moment estimators' cap on points too.
 QUADRATURE_TUPLE_LIMIT = 200_000
 QUADRATURE_MAX_ORDER = 4
 
@@ -238,8 +239,9 @@ def box_counts(patterns: np.ndarray, box) -> np.ndarray:
 
 def _moment_points(points, n_cells: int) -> tuple[np.ndarray, str]:
     pts = cell_indices(points, n_cells)
-    if pts.size < 1 or pts.size > 4:
-        raise PreconditionError("between 1 and 4 points (estimator variance grows fast)")
+    if pts.size < 1 or pts.size > QUADRATURE_MAX_ORDER:
+        raise PreconditionError(f"between 1 and {QUADRATURE_MAX_ORDER} points "
+                                "(estimator variance grows fast)")
     return pts, "E prod |G|^2 at " + ",".join(map(str, pts.tolist()))
 
 

@@ -77,6 +77,22 @@ def test_matfun_refuses_a_flag_its_op_ignores(swap_matrix, capsys, op, flag, mes
     assert out.out == "" and out.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flag, message", [
+    (["--alpha", "nan"], "--alpha must be finite, got nan"),
+    (["--alpha=inf"], "--alpha must be finite, got inf"),
+    (["--alpha=-inf"], "--alpha must be finite, got -inf"),
+    (["--alpha", "1e308"], "overflow encountered in power (matrix file {}, --alpha 1e+308)"),
+], ids=["nan", "inf", "-inf", "1e308"])
+def test_matfun_alphadet_names_an_alpha_past_the_float_range(tmp_path, capsys, flag, message):
+    # a non-finite alpha is refused before the file is read: here there is none
+    path = tmp_path / "m3.txt"
+    if "{}" in message:
+        write_matrix_text(path, np.ones((3, 3), dtype=complex))
+    code, out = run("matfun", "alphadet", str(path), *flag, capsys=capsys)
+    assert code == 2 and out.out == ""
+    assert out.err == f"error: {message.format(path)}\n"
+
+
 def test_matfun_alphadet_defaults_to_the_permanent(capsys, tmp_path):
     path = tmp_path / "b.txt"
     write_matrix_text(path, np.random.default_rng(3).standard_normal((4, 4)) + 0j)
@@ -698,6 +714,26 @@ def test_overflow_error_names_the_window(tmp_path, capsys, command, doc):
     assert not out_dir.exists()
 
 
+_SCALE = "model parameter 'scale' must have a finite square, got 1e+200"
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("verify", {"models": [{"builtin": "real-gauss", "params": {"scale": 1e200}}]}, _SCALE),
+    ("cox sample", {"model": {"builtin": "real-gauss", "params": {"scale": 1e200}}}, _SCALE),
+    ("cox sample", {"cells": 2, "profile": {"lambda": [[1e200, 0], [1, 0]]}},
+     "each profile 'lambda' entry must have a finite rate |lambda|^2, got [1e+200, 0.0]"),
+], ids=["verify-scale", "cox-sample-scale", "cox-sample-profile"])
+def test_an_input_whose_square_overflows_is_named_not_the_window(tmp_path, capsys, command,
+                                                                   doc, message):
+    cfg, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    extra = ["--out", str(out_dir)] if command != "verify" else []
+    code, out = run(*command.split(), "--config", str(cfg), *extra, capsys=capsys)
+    assert code == 2 and out.out == ""
+    assert out.err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_matfun_overflow_error_names_the_file(tmp_path, capsys):
     path = tmp_path / "huge.txt"
     write_matrix_text(path, np.full((8, 8), 1e80))
@@ -799,25 +835,28 @@ def test_every_config_field_names_its_readers():
 
 
 @pytest.mark.parametrize("command", ["cox sample", "field sample", "verify"])
-@pytest.mark.parametrize("name", list(_CONFIG_FIELDS))
-def test_each_command_refuses_a_set_field_it_does_not_read(tmp_path, capsys, command, name):
-    f = _CONFIG_FIELDS[name]
-    if command in f.metadata["readers"]:   # a field the command reads is never refused for it
-        cli.ExperimentConfig(**{name: _OFF_DEFAULT[name]}).refuse_unread(command)
+# each field alone, then three at once, which one message names in the field order
+@pytest.mark.parametrize("names", [(name,) for name in _CONFIG_FIELDS]
+                         + [("truncation", "max_order", "mc_samples")], ids="+".join)
+def test_each_command_refuses_a_set_field_it_does_not_read(tmp_path, capsys, command, names):
+    set_off = {name: _OFF_DEFAULT[name] for name in names}
+    if all(command in _CONFIG_FIELDS[name].metadata["readers"] for name in names):
+        cli.ExperimentConfig(**set_off).refuse_unread(command)   # a field it reads: never refused
         return
     cfg, out_dir = tmp_path / "cfg.json", tmp_path / "run"
     argv = [*command.split(), "--config", str(cfg)]
     if command != "verify":
         argv += ["--out", str(out_dir)]
-    # at its default, written out (null for None), the field changes nothing and passes
-    cfg.write_text(json.dumps({name: f.default}))
+    # at their defaults, written out (null for None), the fields change nothing and pass
+    cfg.write_text(json.dumps({name: _CONFIG_FIELDS[name].default for name in names}))
     code, out = run(*argv, capsys=capsys)
     assert code == 0 and out.err == ""
     shutil.rmtree(out_dir, ignore_errors=True)
-    cfg.write_text(json.dumps({name: _OFF_DEFAULT[name]}))
+    cfg.write_text(json.dumps(set_off))
     code, out = run(*argv, capsys=capsys)
     assert code == 2 and out.out == ""
-    assert out.err == f"error: {command} does not read [{name!r}]; remove them from the config\n"
+    unread = [name for name in _CONFIG_FIELDS if name in names]
+    assert out.err == f"error: {command} does not read {unread}; remove them from the config\n"
     assert not out_dir.exists()
 
 

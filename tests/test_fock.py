@@ -5,7 +5,6 @@ import weakref
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.linalg import sqrtm
 
 from haflab import fock as fk
 from haflab import kernels as kn
@@ -843,16 +842,8 @@ def test_vacuum_routes_capacity_errors():
 
 
 # ---------------------------------------------------------------------------
-# dressed-pair admissibility
+# the free-field two-point function
 # ---------------------------------------------------------------------------
-
-
-def test_bogoliubov_free_field():
-    rep = fk.bogoliubov_check(np.zeros((3, 3)), np.eye(3))
-    assert rep.passed
-    assert rep.residual_symmetry <= 1e-14
-    assert rep.residual_commutation <= 1e-14
-    assert rep.t2_max_deviation <= 1e-12
 
 
 def test_bogoliubov_free_field_t2_value():
@@ -864,39 +855,3 @@ def test_bogoliubov_free_field_t2_value():
     b = lambda v: fk.create(basis, v) + fk.annihilate(basis, v)
     got = vacuum_expectation(b(f) @ b(h))
     assert got == pytest.approx(np.sum(f * h), abs=1e-12)
-
-
-def test_bogoliubov_functional_calculus_pair():
-    rng = np.random.default_rng(19)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    k1 = (a + a.T) / 2                      # complex symmetric
-    k2 = sqrtm(np.eye(3) + k1.conj().T @ k1)
-    rep = fk.bogoliubov_check(k1, k2)
-    assert rep.passed
-    assert rep.residual_symmetry <= 1e-10
-    assert rep.residual_commutation <= 1e-10
-    assert rep.t2_max_deviation <= 1e-10
-
-
-def test_bogoliubov_builds_no_operator(monkeypatch):
-    def no_operators(*args):
-        raise AssertionError("operator built on the vacuum route")
-
-    monkeypatch.setattr(fk, "create", no_operators)
-    monkeypatch.setattr(fk, "annihilate", no_operators)
-    rep = fk.bogoliubov_check(np.zeros((3, 3)), np.eye(3))
-    assert rep.passed and rep.t2_max_deviation <= 1e-12
-
-
-@pytest.mark.parametrize("k1, k2", [(np.eye(2), np.eye(3)), (np.eye(2), np.ones((2, 3))),
-                                    (np.ones(2), np.ones(2))])
-def test_bogoliubov_refuses_maps_of_different_shapes(k1, k2):
-    with pytest.raises(DimensionError, match="maps must be matrices of identical shape"):
-        fk.bogoliubov_check(k1, k2)
-
-
-def test_bogoliubov_zero_pair_fails():
-    rep = fk.bogoliubov_check(np.zeros((2, 2)), np.zeros((2, 2)))
-    assert not rep.passed
-    assert rep.residual_commutation == pytest.approx(1.0)
-    assert rep.t2_max_deviation is None
